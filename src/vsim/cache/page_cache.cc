@@ -2,18 +2,34 @@
 
 #include <cassert>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 namespace vsim::cache {
 
 // -- PageHandle -------------------------------------------------------
 
+namespace {
+
+// Drops one pin. The decrement publishes the holder's reads/writes of
+// the frame data to the evictor, which observes pin_count == 0 with
+// acquire semantics under the shard's exclusive lock. When the frame
+// became evictable while a Fetch waits on its shard, wake the waiters:
+// the seq_cst decrement and waiter load pair with the waiter's seq_cst
+// increment and pin re-scan in WaitForUnpin, so either the waiter sees
+// this unpin or this unpin sees the waiter.
+void Unpin(internal::Frame* frame) {
+  if (frame->pin_count.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+      frame->unpin->waiters.load(std::memory_order_seq_cst) > 0) {
+    MutexLock lock(&frame->unpin->mu);
+    frame->unpin->unpinned.NotifyAll();
+  }
+}
+
+}  // namespace
+
 PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
   if (this != &other) {
-    if (frame_ != nullptr) {
-      frame_->pin_count.fetch_sub(1, std::memory_order_release);
-    }
+    if (frame_ != nullptr) Unpin(frame_);
     frame_ = std::exchange(other.frame_, nullptr);
     page_ = std::exchange(other.page_, 0);
   }
@@ -21,12 +37,7 @@ PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
 }
 
 PageHandle::~PageHandle() {
-  if (frame_ != nullptr) {
-    // Release ordering publishes the holder's reads/writes of the frame
-    // data to the evictor, which observes pin_count == 0 with acquire
-    // semantics under the shard's exclusive lock.
-    frame_->pin_count.fetch_sub(1, std::memory_order_release);
-  }
+  if (frame_ != nullptr) Unpin(frame_);
 }
 
 char* PageHandle::data() {
@@ -85,6 +96,7 @@ ShardedBufferPool::ShardedBufferPool(PagedFile* file, PoolOptions options)
     // Hand out free frames in index order (pop from the back).
     for (size_t i = frames; i-- > 0;) {
       shard->frames[i].data.resize(file_->page_size());
+      shard->frames[i].unpin = &shard->unpin;
       shard->free_frames.push_back(i);
     }
     shards_.push_back(std::move(shard));
@@ -193,15 +205,13 @@ StatusOr<PageHandle> ShardedBufferPool::Fetch(PageId page, PageTier tier,
 
   // Miss path: exclusive lock, re-check (another thread may have loaded
   // the page between our unlock and relock), then evict + read. When
-  // every frame of the shard is transiently pinned by concurrent
-  // readers, yield and retry a bounded number of times before giving
-  // up: pins on the serving path are held only for the duration of one
-  // record copy, so a victim frees up almost immediately. Callers hold
-  // at most one pin at a time (VectorSetStore::Get, DiskXTree's
-  // FetchNode), so a retrying thread holds no pins and cannot deadlock
-  // the shard it is waiting on.
-  constexpr int kPinWaitAttempts = 256;
-  for (int attempt = 0;; ++attempt) {
+  // every frame of the shard is pinned, wait for an unpin outside the
+  // lock and retry: pins on the serving path are held only for the
+  // duration of one record copy. Callers hold at most one pin at a time
+  // (VectorSetStore::Get, DiskXTree's FetchNode), so a waiting thread
+  // holds no pins and cannot deadlock the shard it is waiting on.
+  for (;;) {
+    Status exhausted;
     {
       WriterMutexLock lock(&shard.mu);
       auto it = shard.table.find(page);
@@ -210,12 +220,7 @@ StatusOr<PageHandle> ShardedBufferPool::Fetch(PageId page, PageTier tier,
       }
 
       StatusOr<size_t> grabbed = GrabFrame(shard);
-      if (!grabbed.ok() && grabbed.status().code() ==
-                               StatusCode::kFailedPrecondition &&
-          attempt < kPinWaitAttempts) {
-        // Fall through to the yield below, outside the lock.
-      } else {
-        VSIM_RETURN_NOT_OK(grabbed.status());
+      if (grabbed.ok()) {
         size_t idx = *grabbed;
         Frame& frame = shard.frames[idx];
         // The file read runs under the exclusive shard lock: same-shard
@@ -237,9 +242,31 @@ StatusOr<PageHandle> ShardedBufferPool::Fetch(PageId page, PageTier tier,
         if (miss != nullptr) *miss = true;
         return PageHandle(&frame, page);
       }
+      if (grabbed.status().code() != StatusCode::kFailedPrecondition) {
+        return grabbed.status();
+      }
+      exhausted = grabbed.status();
     }
-    std::this_thread::yield();
+    if (!WaitForUnpin(shard)) return exhausted;
   }
+}
+
+bool ShardedBufferPool::WaitForUnpin(Shard& shard) {
+  internal::UnpinSignal& signal = shard.unpin;
+  MutexLock lock(&signal.mu);
+  signal.waiters.fetch_add(1, std::memory_order_seq_cst);
+  bool unpinned = false;
+  for (const Frame& frame : shard.frames) {
+    if (frame.pin_count.load(std::memory_order_seq_cst) == 0) {
+      unpinned = true;  // an unpin landed since GrabFrame looked
+      break;
+    }
+  }
+  if (!unpinned) {
+    unpinned = signal.unpinned.WaitFor(&signal.mu, kPinWaitTimeout);
+  }
+  signal.waiters.fetch_sub(1, std::memory_order_seq_cst);
+  return unpinned;
 }
 
 StatusOr<PageHandle> ShardedBufferPool::Allocate(PageTier tier) {

@@ -31,11 +31,13 @@
 //
 // Pin semantics: Fetch/Allocate return a pin-counted PageHandle that is
 // safe to hold, move and destroy on any thread (unpin is one atomic
-// decrement, no lock). A pinned frame is never evicted; when every
-// frame of the target shard is pinned, Fetch yields and retries
-// briefly (momentary pin spikes are the common case under concurrent
-// serving), failing with kFailedPrecondition only when the shard stays
-// saturated by held pins.
+// decrement, plus a wakeup only while a Fetch is waiting). A pinned
+// frame is never evicted; when every frame of the target shard is
+// pinned, Fetch blocks until one of them unpins (serving callers hold
+// one pin at a time, for one record copy, so the wait always ends),
+// failing with kFailedPrecondition only when no frame of the shard
+// unpins for a whole second -- pins *held* across the Fetch, e.g. by
+// the calling thread itself.
 //
 // Thread-safety: all public methods of ShardedBufferPool and PageHandle
 // are safe to call concurrently from any thread. The one carve-out is
@@ -46,6 +48,7 @@
 #define VSIM_CACHE_PAGE_CACHE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -95,6 +98,15 @@ class ShardedBufferPool;
 
 namespace internal {
 
+// Wakes Fetch calls blocked on a fully pinned shard (see
+// ShardedBufferPool::Fetch). One per shard; every frame points at its
+// shard's signal so an unpin can find it without the shard latch.
+struct UnpinSignal {
+  std::atomic<int> waiters{0};  // Fetch calls blocked on this shard
+  Mutex mu{"cache.unpin"};
+  CondVar unpinned;
+};
+
 // One page-sized buffer plus its control word(s). Frames live in a
 // per-shard vector sized at construction: addresses are stable, so a
 // PageHandle can hold a bare Frame* across its lifetime.
@@ -114,13 +126,15 @@ struct Frame {
   std::atomic<bool> referenced{false};
   std::atomic<uint8_t> tier{static_cast<uint8_t>(PageTier::kCold)};
   std::vector<char> data;
+  UnpinSignal* unpin = nullptr;  // the owning shard's; set at construction
 };
 
 }  // namespace internal
 
 // RAII pin on a resident page. While alive, the frame cannot be evicted
 // and data() stays valid. Move-only; destruction (unpin) is one atomic
-// decrement and may happen on any thread.
+// decrement (plus a wakeup when a Fetch waits on the shard) and may
+// happen on any thread.
 class PageHandle {
  public:
   PageHandle() = default;
@@ -168,16 +182,20 @@ class ShardedBufferPool {
   ShardedBufferPool& operator=(const ShardedBufferPool&) = delete;
   ~ShardedBufferPool();
 
+  // How long Fetch waits on a fully pinned shard without seeing a
+  // single unpin before it gives up (see Fetch).
+  static constexpr std::chrono::seconds kPinWaitTimeout{1};
+
   // Pins the page, reading it from the file on a miss (a newly loaded
   // page enters at `tier`; a resident page keeps its current tier --
   // use PageHandle::SetTier to retier). `miss`, when given, reports
   // whether THIS call read the file, which is what the I/O cost
   // accounting charges (a global miss-counter delta would misattribute
   // concurrent callers' misses). When every frame of the page's shard
-  // is pinned, yields and retries a bounded number of times (pins on
-  // the read path are momentary), then fails with kFailedPrecondition
-  // if the shard stays saturated -- i.e. when frames are *held* pinned,
-  // not merely in transit.
+  // is pinned, blocks until one unpins and retries; fails with
+  // kFailedPrecondition only if no frame of the shard unpins within
+  // kPinWaitTimeout -- i.e. when frames are *held* pinned (say, by the
+  // caller itself), not merely in transit.
   StatusOr<PageHandle> Fetch(PageId page, PageTier tier = PageTier::kCold,
                              bool* miss = nullptr);
 
@@ -224,6 +242,7 @@ class ShardedBufferPool {
     std::vector<Frame> frames;
     std::vector<size_t> free_frames GUARDED_BY(mu);  // never-bound frames
     size_t clock_hand GUARDED_BY(mu) = 0;
+    internal::UnpinSignal unpin;
   };
 
   // Monotone pool-wide counters (relaxed; totals converge).
@@ -250,6 +269,10 @@ class ShardedBufferPool {
   // else (only when no cold candidate exists) over unpinned hot frames.
   // Writes back the victim if dirty.
   StatusOr<size_t> GrabFrame(Shard& shard) REQUIRES(shard.mu);
+
+  // Blocks (holding no latch) until some frame of `shard` is unpinned,
+  // or kPinWaitTimeout passes without an unpin; false on the timeout.
+  static bool WaitForUnpin(Shard& shard) EXCLUDES(shard.mu);
 
   PagedFile* file_;
   size_t capacity_ = 0;

@@ -23,6 +23,7 @@
 #ifndef VSIM_COMMON_THREAD_ANNOTATIONS_H_
 #define VSIM_COMMON_THREAD_ANNOTATIONS_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -228,6 +229,18 @@ class CondVar {
     cv_.wait(lock);
     deadlock::NoteAcquire(mu, mu->class_);
     lock.release();  // caller's MutexLock keeps ownership
+  }
+
+  // Wait() bounded by `timeout`: returns false when it elapsed without
+  // a notification, true otherwise (including spurious wakeups).
+  bool WaitFor(Mutex* mu, std::chrono::nanoseconds timeout) REQUIRES(mu) {
+    std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
+    deadlock::NoteRelease(mu);
+    const bool notified =
+        cv_.wait_for(lock, timeout) == std::cv_status::no_timeout;
+    deadlock::NoteAcquire(mu, mu->class_);
+    lock.release();
+    return notified;
   }
 
   void NotifyOne() { cv_.notify_one(); }

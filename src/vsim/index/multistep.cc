@@ -66,58 +66,6 @@ std::vector<int> MultiStepRange(const XTree& filter_index,
   return result;
 }
 
-std::vector<Neighbor> SortedBoundKnn(
-    const std::vector<BoundedCandidate>& candidates, int k,
-    const ExactDistanceFn& exact_distance, IoStats* stats,
-    MultiStepStats* msstats) {
-  std::vector<Neighbor> best;  // kept heapified, largest distance on top
-  auto cmp = [](const Neighbor& a, const Neighbor& b) {
-    return a.distance < b.distance;
-  };
-  MultiStepStats local;
-  for (const BoundedCandidate& candidate : candidates) {
-    if (static_cast<int>(best.size()) == k &&
-        candidate.bound > best.front().distance) {
-      break;  // optimal stopping condition (Seidl & Kriegel)
-    }
-    ++local.filter_hits;
-    Stopwatch refine_watch;
-    const double exact = exact_distance(candidate.id, stats);
-    local.refine_seconds += refine_watch.ElapsedSeconds();
-    ++local.candidates_refined;
-    if (static_cast<int>(best.size()) < k) {
-      best.push_back({candidate.id, exact});
-      std::push_heap(best.begin(), best.end(), cmp);
-    } else if (exact < best.front().distance) {
-      std::pop_heap(best.begin(), best.end(), cmp);
-      best.back() = {candidate.id, exact};
-      std::push_heap(best.begin(), best.end(), cmp);
-    }
-  }
-  std::sort_heap(best.begin(), best.end(), cmp);
-  if (msstats != nullptr) *msstats = local;
-  return best;
-}
-
-std::vector<int> BoundedRange(const std::vector<BoundedCandidate>& candidates,
-                              double eps,
-                              const ExactDistanceFn& exact_distance,
-                              IoStats* stats, MultiStepStats* msstats) {
-  MultiStepStats local;
-  std::vector<int> result;
-  for (const BoundedCandidate& candidate : candidates) {
-    if (candidate.bound > eps) continue;
-    ++local.filter_hits;
-    Stopwatch refine_watch;
-    const double exact = exact_distance(candidate.id, stats);
-    local.refine_seconds += refine_watch.ElapsedSeconds();
-    ++local.candidates_refined;
-    if (exact <= eps) result.push_back(candidate.id);
-  }
-  if (msstats != nullptr) *msstats = local;
-  return result;
-}
-
 namespace {
 
 void ChargeSequentialScan(size_t scan_bytes, size_t page_size,

@@ -53,32 +53,6 @@ std::vector<int> MultiStepRange(const XTree& filter_index,
                                 IoStats* stats = nullptr,
                                 MultiStepStats* msstats = nullptr);
 
-// A candidate with a precomputed lower bound on its exact distance
-// (already scaled: `bound` <= exact distance). The approximate
-// pre-filter pipeline produces these from the batched centroid kernel
-// after the sketch prune (src/vsim/kernels/, docs/KERNELS.md).
-struct BoundedCandidate {
-  int id;
-  double bound;
-};
-
-// Optimal multi-step k-NN over candidates whose lower bounds are
-// already computed and sorted ascending by `bound`. Same stopping rule
-// as MultiStepKnn, with the bound list standing in for the X-tree
-// ranking cursor. filter_hits counts candidates popped before the stop.
-std::vector<Neighbor> SortedBoundKnn(
-    const std::vector<BoundedCandidate>& candidates, int k,
-    const ExactDistanceFn& exact_distance, IoStats* stats = nullptr,
-    MultiStepStats* msstats = nullptr);
-
-// Range counterpart: refine every candidate whose lower bound is
-// <= eps (candidates need not be sorted).
-std::vector<int> BoundedRange(const std::vector<BoundedCandidate>& candidates,
-                              double eps,
-                              const ExactDistanceFn& exact_distance,
-                              IoStats* stats = nullptr,
-                              MultiStepStats* msstats = nullptr);
-
 // Baselines: sequential scan over `count` objects (ids 0..count-1).
 // `scan_bytes` is the total size of the scanned file; its pages are
 // charged once per query (sequential read).

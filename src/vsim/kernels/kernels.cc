@@ -1,9 +1,10 @@
 // Kernel dispatch: resolve the fastest implementation the CPU can
 // execute once, allow tests/operators to pin a variant, and provide
-// the batch-of-one convenience bound.
+// the single-pair centroid bound.
 #include "vsim/kernels/kernels.h"
 
 #include <cassert>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -13,23 +14,9 @@ namespace vsim::kernels {
 
 namespace {
 
-constexpr KernelSet kScalar = {
-    "scalar",
-    &internal::CentroidDistanceBatchScalar,
-    &internal::CostMatrixBuildScalar,
-};
+constexpr KernelSet kScalar = {"scalar", &internal::CostMatrixBuildScalar};
 
-constexpr KernelSet kPortable = {
-    "portable",
-    &internal::CentroidDistanceBatchPortable,
-    &internal::CostMatrixBuildPortable,
-};
-
-constexpr KernelSet kAvx2 = {
-    "avx2",
-    &internal::CentroidDistanceBatchAvx2,
-    &internal::CostMatrixBuildAvx2,
-};
+constexpr KernelSet kAvx2 = {"avx2", &internal::CostMatrixBuildAvx2};
 
 bool CpuExecutesAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -39,25 +26,25 @@ bool CpuExecutesAvx2() {
 #endif
 }
 
+bool Avx2Executable() {
+  return internal::Avx2CompiledIn() && CpuExecutesAvx2();
+}
+
 }  // namespace
 
 const KernelSet& ForceScalar() { return kScalar; }
 
-const KernelSet& Portable() { return kPortable; }
-
 const KernelSet& BestAvailable() {
   // The feature probe is cheap but not free; resolve once.
-  static const KernelSet& best =
-      internal::Avx2CompiledIn() && CpuExecutesAvx2() ? kAvx2 : kPortable;
+  static const KernelSet& best = Avx2Executable() ? kAvx2 : kScalar;
   return best;
 }
 
 const KernelSet* ByName(const char* name) {
   if (name == nullptr) return nullptr;
   if (std::strcmp(name, "scalar") == 0) return &kScalar;
-  if (std::strcmp(name, "portable") == 0) return &kPortable;
   if (std::strcmp(name, "avx2") == 0) {
-    return internal::Avx2CompiledIn() && CpuExecutesAvx2() ? &kAvx2 : nullptr;
+    return Avx2Executable() ? &kAvx2 : nullptr;
   }
   return nullptr;
 }
@@ -73,10 +60,12 @@ const KernelSet& Active() {
 double CentroidFilterBound(const FeatureVector& ca, const FeatureVector& cb,
                            double k) {
   assert(ca.size() == cb.size());
-  double distance = 0.0;
-  Active().centroid_distance_batch(ca.data(), cb.data(), 1, ca.size(),
-                                   &distance);
-  return k * distance;
+  double acc = 0.0;
+  for (size_t d = 0; d < ca.size(); ++d) {
+    const double diff = ca[d] - cb[d];
+    acc += diff * diff;
+  }
+  return k * std::sqrt(acc);
 }
 
 }  // namespace vsim::kernels

@@ -1,19 +1,16 @@
 // Batched distance kernels behind one dispatching API (docs/KERNELS.md).
 //
-// Every hot distance loop in the tree -- the 6-d centroid bounds of the
-// Lemma-2 filter step and the ground-distance block of the minimal
-// matching cost matrix -- goes through a `KernelSet`: a table of
-// function pointers resolved once at startup. Three implementations
-// ship in separate translation units so each can carry its own
-// optimization flags:
+// The hot distance loop of refinement -- the ground-distance block of
+// the minimal matching cost matrix -- goes through a `KernelSet`: a
+// table of function pointers resolved once at startup. Two
+// implementations ship in separate translation units so each can carry
+// its own optimization flags:
 //
 //   scalar    the semantics-defining reference. Compiled with
 //             auto-vectorization disabled, so "scalar vs SIMD" in the
 //             equivalence tests and benches means what it says.
-//   portable  `#pragma omp simd` over the same loops; compiles to the
-//             host's baseline vector ISA on any compiler/arch.
 //   avx2      hand-blocked AVX2+FMA intrinsics (x86 only; the TU
-//             degrades to the portable code when __AVX2__ is absent,
+//             forwards to the scalar reference when __AVX2__ is absent,
 //             and runtime dispatch never selects it on hosts without
 //             the feature, so the binary stays legal everywhere).
 //
@@ -43,16 +40,6 @@ enum class GroundKind {
   kManhattan,         // L1
 };
 
-// One query vector against `count` candidate vectors stored as a
-// contiguous row-major block (candidate i occupies
-// candidates[i*dim .. i*dim+dim)). Writes the Euclidean distance of
-// each candidate to out[i]. This is the filter-step shape: one query
-// centroid against a block of stored extended centroids.
-using CentroidDistanceBatchFn = void (*)(const double* query,
-                                         const double* candidates,
-                                         size_t count, size_t dim,
-                                         double* out);
-
 // The full refinement cost block: all pairwise ground distances between
 // the m row vectors of `a` and the n column vectors of `b` (both
 // contiguous row-major, dim doubles per vector) in one call.
@@ -65,38 +52,31 @@ using CostMatrixBuildFn = void (*)(GroundKind ground, const double* a,
                                    size_t out_stride);
 
 struct KernelSet {
-  const char* name;  // "scalar" | "portable" | "avx2"
-  CentroidDistanceBatchFn centroid_distance_batch;
+  const char* name;  // "scalar" | "avx2"
   CostMatrixBuildFn cost_matrix_build;
 };
 
 // The reference implementation (always available; tests pin it to
-// check the optimized variants against).
+// check the optimized variant against).
 const KernelSet& ForceScalar();
 
-// The `#pragma omp simd` implementation (always available).
-const KernelSet& Portable();
-
 // The fastest implementation this CPU can execute, by runtime feature
-// detection (AVX2+FMA -> avx2, else portable). Never consults the
+// detection (AVX2+FMA -> avx2, else scalar). Never consults the
 // environment.
 const KernelSet& BestAvailable();
 
-// Lookup by name ("scalar", "portable", "avx2"); nullptr for unknown
-// names, and nullptr for "avx2" on hosts whose CPU cannot execute it.
+// Lookup by name ("scalar", "avx2"); nullptr for unknown names, and
+// nullptr for "avx2" on hosts whose CPU cannot execute it.
 const KernelSet* ByName(const char* name);
 
 // The process-wide active set: BestAvailable(), unless the
 // VSIM_KERNELS environment variable names an implementation
-// ("scalar" | "portable" | "avx2"; see docs/OPERATIONS.md). Resolved
-// once on first use; an unknown or unexecutable name falls back to
-// BestAvailable().
+// ("scalar" | "avx2"; see docs/OPERATIONS.md). Resolved once on first
+// use; an unknown or unexecutable name falls back to BestAvailable().
 const KernelSet& Active();
 
-// Lemma-2 filter bound for a single centroid pair: k * ||ca - cb||_2.
-// The batch-of-one convenience that replaced the old free-standing
-// CentroidFilterDistance helper; cold paths and tests use it, hot
-// paths batch.
+// Lemma-2 filter bound for a single centroid pair: k * ||ca - cb||_2,
+// summed in dimension order (the scalar reference's association).
 double CentroidFilterBound(const FeatureVector& ca, const FeatureVector& cb,
                            double k);
 

@@ -1,5 +1,5 @@
 // Per-variant entry points, shared between the dispatching TU
-// (kernels.cc) and the three implementation TUs. Not part of the public
+// (kernels.cc) and the two implementation TUs. Not part of the public
 // kernel API: callers go through kernels.h.
 #ifndef VSIM_KERNELS_KERNELS_INTERNAL_H_
 #define VSIM_KERNELS_KERNELS_INTERNAL_H_
@@ -8,27 +8,16 @@
 
 namespace vsim::kernels::internal {
 
-void CentroidDistanceBatchScalar(const double* query, const double* candidates,
-                                 size_t count, size_t dim, double* out);
 void CostMatrixBuildScalar(GroundKind ground, const double* a, size_t m,
                            const double* b, size_t n, size_t dim, double* out,
                            size_t out_stride);
 
-void CentroidDistanceBatchPortable(const double* query,
-                                   const double* candidates, size_t count,
-                                   size_t dim, double* out);
-void CostMatrixBuildPortable(GroundKind ground, const double* a, size_t m,
-                             const double* b, size_t n, size_t dim,
-                             double* out, size_t out_stride);
-
-void CentroidDistanceBatchAvx2(const double* query, const double* candidates,
-                               size_t count, size_t dim, double* out);
 void CostMatrixBuildAvx2(GroundKind ground, const double* a, size_t m,
                          const double* b, size_t n, size_t dim, double* out,
                          size_t out_stride);
 
 // True when the avx2 TU was compiled from real intrinsics (the build
-// had __AVX2__ for that file) rather than the portable fallback; the
+// had __AVX2__ for that file) rather than the scalar fallback; the
 // dispatcher additionally checks the CPU at runtime.
 bool Avx2CompiledIn();
 

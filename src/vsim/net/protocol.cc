@@ -109,6 +109,11 @@ class WireCursor {
     pos_ += n;
     return true;
   }
+  bool Skip(size_t n) {
+    if (size_ - pos_ < n) return false;
+    pos_ += n;
+    return true;
+  }
 
   size_t remaining() const { return size_ - pos_; }
   bool Done() const { return pos_ == size_; }
@@ -218,11 +223,12 @@ void AppendRequestFrame(uint64_t request_id, const ServiceRequest& request,
   PutF64(&payload, request.options.eps);
   PutF64(&payload, request.options.timeout_seconds);
   if (has_query) AppendObjectRepr(&payload, request.query);
-  // Trailing optional QueryOptions fields (same evolution rule as the
-  // info frame's feature_flags): decoders that predate them stop at the
-  // byte above and read approx_level = 0. The ObjectRepr block is
-  // self-terminating, so the trailing position is unambiguous.
-  PutU32(&payload, static_cast<uint32_t>(request.options.approx_level));
+  // Reserved trailing word (docs/PROTOCOL.md §3), always 0. It once
+  // carried an approximate pre-filter level; it stays on the wire
+  // because the §12 trace block below is positioned after it. The
+  // ObjectRepr block is self-terminating, so the trailing position is
+  // unambiguous.
+  PutU32(&payload, 0);
   // Trailing trace context (docs/PROTOCOL.md §12): the distributed
   // trace identity this request belongs to, zero when untraced.
   // Decoders that predate the block stop above and mint server-side.
@@ -314,14 +320,13 @@ void AppendStatsResponseFrame(uint64_t request_id,
     PutU64(&payload, t.page_accesses);
     PutU64(&payload, t.bytes_read);
   }
-  // Trailing optional approx block (one record per trace, after all the
-  // fixed 112-byte records): decoders that predate it stop above and
-  // read approx_level = approx_pruned = 0. Keeping the fixed records
-  // unchanged is what spares a wire version bump.
+  // Reserved 12-byte record per trace (docs/PROTOCOL.md §7), after all
+  // the fixed 112-byte records: {u32 0, u64 filter_hits}, the bytes an
+  // exact query always reported here. The §12 blocks below are
+  // positioned after it.
   for (size_t i = 0; i < traces; ++i) {
-    const obs::QueryTrace& t = response.traces[i];
-    PutU32(&payload, static_cast<uint32_t>(t.approx_level));
-    PutU64(&payload, t.approx_pruned);
+    PutU32(&payload, 0);
+    PutU64(&payload, response.traces[i].filter_hits);
   }
   // Trailing tracing blocks (docs/PROTOCOL.md §12), emitted in a fixed
   // order so truncation at any block boundary decodes as "absent":
@@ -480,14 +485,12 @@ Status DecodeRequestPayload(const uint8_t* data, size_t size,
     }
     VSIM_RETURN_NOT_OK(DecodeObjectRepr(&c, &request->query));
   }
-  // Optional trailing QueryOptions fields: absent from peers that
-  // predate them (approx_level = 0 keeps the exact pipeline). Range
-  // validation happens in QueryService::Validate, not here.
-  request->options.approx_level = 0;
-  uint32_t approx_level = 0;
+  // Optional reserved trailing word (docs/PROTOCOL.md §3): absent from
+  // peers that predate it; when present it must be whole, and its value
+  // is ignored (every query runs the exact pipeline).
   if (!c.Done()) {
-    if (!c.U32(&approx_level)) return Truncated("request");
-    request->options.approx_level = static_cast<int>(approx_level);
+    uint32_t reserved;
+    if (!c.U32(&reserved)) return Truncated("request");
   }
   // Optional trailing trace context (docs/PROTOCOL.md §12): absent from
   // peers that predate it (the server mints an id of its own). The
@@ -666,21 +669,13 @@ Status DecodeStatsResponsePayload(const uint8_t* data, size_t size,
     }
     response->traces.push_back(t);
   }
-  // Optional trailing approx block (u32 level + u64 pruned per trace):
-  // absent from peers that predate it, in which case every trace keeps
-  // its zero defaults.
+  // Optional reserved block, 12 bytes per trace (docs/PROTOCOL.md §7):
+  // absent from peers that predate it; when present it must be whole,
+  // and its contents are skipped.
   if (!c.Done()) {
-    constexpr size_t kApproxRecordBytes = 12;
-    if (c.remaining() < static_cast<size_t>(n_traces) * kApproxRecordBytes) {
+    constexpr size_t kReservedRecordBytes = 12;
+    if (!c.Skip(static_cast<size_t>(n_traces) * kReservedRecordBytes)) {
       return Truncated("stats response");
-    }
-    for (uint32_t i = 0; i < n_traces; ++i) {
-      uint32_t approx_level;
-      obs::QueryTrace& t = response->traces[i];
-      if (!c.U32(&approx_level) || !c.U64(&t.approx_pruned)) {
-        return Truncated("stats trace");
-      }
-      t.approx_level = static_cast<int32_t>(approx_level);
     }
   }
   // Optional trailing tracing blocks (docs/PROTOCOL.md §12), each

@@ -1,7 +1,5 @@
 #include "vsim/net/reactor.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -218,8 +216,7 @@ void EpollReactor::HandleAccept(Loop* loop) {
     }
     counters_->connections_accepted.fetch_add(1, std::memory_order_relaxed);
     counters_->open_connections.fetch_add(1, std::memory_order_relaxed);
-    const int one = 1;
-    ::setsockopt(client.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    SetNoDelay(client.get());
     auto conn = std::make_shared<Conn>();
     conn->fd = std::move(client);
     Loop* target =

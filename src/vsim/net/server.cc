@@ -252,6 +252,7 @@ void Server::AcceptLoop() {
     }
     counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
     counters_.open_connections.fetch_add(1, std::memory_order_relaxed);
+    SetNoDelay(client.get());
     if (options_.read_timeout_seconds > 0) {
       (void)SetReadTimeout(client.get(), options_.read_timeout_seconds);
     }

@@ -138,9 +138,13 @@ StatusOr<ScopedFd> ConnectTcp(const std::string& host, int port) {
                 sizeof(addr)) != 0) {
     return Errno("connect " + host + ":" + std::to_string(port));
   }
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd.get());
   return fd;
+}
+
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 StatusOr<int> LocalPort(int fd) {

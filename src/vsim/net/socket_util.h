@@ -84,9 +84,15 @@ Status ReadFrame(int fd, FrameHeader* header, std::string* payload,
 StatusOr<ScopedFd> ListenTcp(const std::string& host, int port,
                              int backlog = 64);
 
-// Blocking IPv4 connect; TCP_NODELAY set (the protocol pipelines small
-// frames, so Nagle coalescing only adds latency).
+// Blocking IPv4 connect; TCP_NODELAY set via SetNoDelay.
 StatusOr<ScopedFd> ConnectTcp(const std::string& host, int port);
+
+// Sets TCP_NODELAY. The protocol pipelines small frames, so Nagle's
+// algorithm only adds latency -- and meets the peer's delayed ACK in a
+// ~40 ms stall per response. Both ends of every connection set it: the
+// client on connect, both server transports on accept. Best effort: a
+// socket that refuses the option still works, only slower.
+void SetNoDelay(int fd);
 
 // The locally bound port of a socket (resolves port 0 after bind).
 StatusOr<int> LocalPort(int fd);

@@ -48,7 +48,7 @@ StatusOr<std::shared_ptr<const DbSnapshot>> DbSnapshot::CreateDiskBacked(
   snapshot->engine_ = owned_engine.get();
   snapshot->owned_engine_ = std::move(owned_engine);
   // The engine build was the last consumer of the RAM vector sets (it
-  // copied what it keeps: M-tree entries, sketches, centroid block).
+  // copied what it keeps: the M-tree entries).
   // From here on the store holds the only full copies; QueryService
   // hydrates stored-id queries from it.
   if (!keep_ram_sets) owned_db->ReleaseVectorSets();

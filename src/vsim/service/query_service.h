@@ -88,13 +88,6 @@ struct QueryOptions {
   // 0 = no deadline. The deadline is checked when a worker picks the
   // request up; execution itself is not interrupted.
   double timeout_seconds = 0.0;
-
-  // Approximate pre-filter aggressiveness for the kVectorSetFilter
-  // strategy: 0 = exact (paper-faithful pipeline), 1..
-  // kernels::kMaxApproxLevel trade recall for latency via the sketch
-  // prune + batched centroid bounds (docs/KERNELS.md). Other
-  // strategies ignore the knob.
-  int approx_level = 0;
 };
 
 // A request is a plain value: safe to copy between threads, no
@@ -316,7 +309,6 @@ class QueryService {
   obs::Histogram* queue_wait_hist_ = nullptr;
   obs::Histogram* filter_stage_hist_ = nullptr;
   obs::Histogram* refine_stage_hist_ = nullptr;
-  obs::Counter* approx_pruned_total_ = nullptr;
   obs::Counter* filter_hits_total_ = nullptr;
   obs::Counter* candidates_refined_total_ = nullptr;
   obs::Counter* hungarian_total_ = nullptr;

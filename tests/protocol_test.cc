@@ -31,7 +31,6 @@ ServiceRequest MakeExternalRequest() {
   req.options.eps = 1.25;
   req.with_reflections = true;
   req.options.timeout_seconds = 0.75;
-  req.options.approx_level = 2;
   Rng rng(7);
   for (int v = 0; v < 3; ++v) {
     FeatureVector vec(6);
@@ -108,7 +107,6 @@ TEST(ProtocolTest, RequestWithExternalQueryRoundTrips) {
   EXPECT_EQ(out.options.eps, req.options.eps);
   EXPECT_EQ(out.with_reflections, req.with_reflections);
   EXPECT_EQ(out.options.timeout_seconds, req.options.timeout_seconds);
-  EXPECT_EQ(out.options.approx_level, req.options.approx_level);
   ASSERT_EQ(out.query.vector_set.size(), req.query.vector_set.size());
   for (size_t v = 0; v < req.query.vector_set.vectors.size(); ++v) {
     EXPECT_EQ(out.query.vector_set.vectors[v],
@@ -202,8 +200,6 @@ obs::QueryTrace MakeTrace(uint64_t id) {
   t.hungarian_invocations = 12;
   t.page_accesses = 88;
   t.bytes_read = 4096;
-  t.approx_level = 2;
-  t.approx_pruned = 250;
   return t;
 }
 
@@ -264,23 +260,47 @@ TEST(ProtocolTest, StatsResponseRoundTripsTextAndTraces) {
     EXPECT_EQ(b.hungarian_invocations, a.hungarian_invocations);
     EXPECT_EQ(b.page_accesses, a.page_accesses);
     EXPECT_EQ(b.bytes_read, a.bytes_read);
-    EXPECT_EQ(b.approx_level, a.approx_level);
-    EXPECT_EQ(b.approx_pruned, a.approx_pruned);
+  }
+
+  // Old-layout expectations (docs/PROTOCOL.md §7): after the fixed
+  // 112-byte records, a decoder that predates the retirement reads one
+  // {u32 approx_level, u64 approx_pruned} record per trace. This server
+  // writes {0, filter_hits} there -- exactly what an exact query always
+  // reported -- so old peers see level 0 and the degenerate chain.
+  const std::string& payload = frames[0].payload;
+  size_t pos = sizeof(uint32_t) + resp.metrics_text.size() +
+               sizeof(uint32_t) + resp.traces.size() * 112;
+  for (const obs::QueryTrace& t : resp.traces) {
+    ASSERT_LE(pos + 12, payload.size());
+    uint32_t level = 0;
+    uint64_t pruned = 0;
+    for (int i = 0; i < 4; ++i) {
+      level |= static_cast<uint32_t>(static_cast<uint8_t>(payload[pos + i]))
+               << (8 * i);
+    }
+    for (int i = 0; i < 8; ++i) {
+      pruned |=
+          static_cast<uint64_t>(static_cast<uint8_t>(payload[pos + 4 + i]))
+          << (8 * i);
+    }
+    EXPECT_EQ(level, 0u);
+    EXPECT_EQ(pruned, t.filter_hits);
+    pos += 12;
   }
 }
 
 // Trailing bytes the current request encoder emits after the
-// ObjectRepr: [approx_level u32][trace_hi u64][trace_lo u64]
-// [parent_span_id u64] (docs/PROTOCOL.md §12).
+// ObjectRepr: [reserved u32 = 0][trace_hi u64][trace_lo u64]
+// [parent_span_id u64] (docs/PROTOCOL.md §3, §12).
 constexpr size_t kRequestTraceBlockBytes = 3 * sizeof(uint64_t);
 constexpr size_t kRequestTrailingBytes =
     sizeof(uint32_t) + kRequestTraceBlockBytes;
 
 TEST(ProtocolTest, LegacyRequestWithoutApproxLevelDecodesToZero) {
-  // A pre-approx client's request payload stops right after the
-  // ObjectRepr; the tolerant decode must yield approx_level 0 (exact
-  // search) and an empty trace context, mirroring the feature_flags
-  // evolution pattern.
+  // A client that predates the reserved word stops right after the
+  // ObjectRepr; the tolerant decode must yield the same exact request
+  // with an empty trace context, mirroring the feature_flags evolution
+  // pattern.
   const ServiceRequest req = MakeExternalRequest();
   std::string buffer;
   AppendRequestFrame(31, req, &buffer);
@@ -290,14 +310,35 @@ TEST(ProtocolTest, LegacyRequestWithoutApproxLevelDecodesToZero) {
       0, frames[0].payload.size() - kRequestTrailingBytes);
   ServiceRequest out;
   ASSERT_TRUE(DecodeRequestPayload(Bytes(legacy), legacy.size(), &out).ok());
-  EXPECT_EQ(out.options.approx_level, 0);
   EXPECT_FALSE(out.trace.valid());
   EXPECT_EQ(out.options.k, req.options.k);
   ASSERT_EQ(out.query.vector_set.size(), req.query.vector_set.size());
+
+  // A client that still sends an approximate level (here 2) in the
+  // reserved word gets the level-0 request: the value is ignored.
+  std::string old_level = frames[0].payload;
+  const size_t word = old_level.size() - kRequestTrailingBytes;
+  ASSERT_EQ(old_level[word], 0);
+  old_level[word] = 2;
+  ServiceRequest level2, level0;
+  ASSERT_TRUE(
+      DecodeRequestPayload(Bytes(old_level), old_level.size(), &level2).ok());
+  ASSERT_TRUE(DecodeRequestPayload(Bytes(frames[0].payload),
+                                   frames[0].payload.size(), &level0)
+                  .ok());
+  std::string reencoded2, reencoded0;
+  AppendRequestFrame(31, level2, &reencoded2);
+  AppendRequestFrame(31, level0, &reencoded0);
+  EXPECT_EQ(reencoded2, reencoded0);
+  EXPECT_EQ(reencoded0, buffer);
+  // A partial reserved word is still a truncation.
+  const std::string partial = legacy + std::string(2, '\0');
+  EXPECT_FALSE(
+      DecodeRequestPayload(Bytes(partial), partial.size(), &out).ok());
 }
 
 TEST(ProtocolTest, LegacyRequestWithoutTraceContextDecodesToZero) {
-  // A pre-tracing client stops after approx_level; the trace block is
+  // A pre-tracing client stops after the reserved word; the trace block is
   // optional and its absence must read back as the zero (invalid)
   // context, never an error.
   ServiceRequest req = MakeExternalRequest();
@@ -318,28 +359,27 @@ TEST(ProtocolTest, LegacyRequestWithoutTraceContextDecodesToZero) {
   EXPECT_EQ(full.trace.trace_lo, req.trace.trace_lo);
   EXPECT_EQ(full.trace.parent_span_id, req.trace.parent_span_id);
 
-  // Pre-tracing truncation (approx_level kept) decodes with zeros.
+  // Pre-tracing truncation (reserved word kept) decodes with zeros.
   const std::string legacy = frames[0].payload.substr(
       0, frames[0].payload.size() - kRequestTraceBlockBytes);
   ServiceRequest out;
   ASSERT_TRUE(DecodeRequestPayload(Bytes(legacy), legacy.size(), &out).ok());
-  EXPECT_EQ(out.options.approx_level, req.options.approx_level);
   EXPECT_FALSE(out.trace.valid());
   EXPECT_EQ(out.trace.parent_span_id, 0u);
 }
 
 // Sizes of the optional trailing blocks a current stats encoder emits
 // after the fixed trace records, newest block last (docs/PROTOCOL.md
-// §12): per-trace approx records, per-trace 16-byte trace ids, the
+// §7, §12): per-trace reserved records, per-trace 16-byte trace ids, the
 // span-tree block, the profiler text block.
-constexpr size_t kApproxRecordBytes = sizeof(uint32_t) + sizeof(uint64_t);
+constexpr size_t kReservedRecordBytes = sizeof(uint32_t) + sizeof(uint64_t);
 constexpr size_t kTraceIdRecordBytes = 2 * sizeof(uint64_t);
 size_t EmptySpanBlockBytes() { return sizeof(uint32_t); }
 size_t EmptyProfileBlockBytes() { return sizeof(uint32_t); }
 
 TEST(ProtocolTest, LegacyStatsResponseWithoutApproxBlockDecodesToZero) {
-  // A pre-approx server's stats payload ends after the fixed trace
-  // records; every trailing block (approx, trace ids, span trees,
+  // An old server's stats payload ends after the fixed trace records;
+  // every trailing block (reserved records, trace ids, span trees,
   // profile) is optional and their absence must read back as zeros.
   StatsResponse resp;
   resp.metrics_text = "vsim_requests_completed_total 1\n";
@@ -350,7 +390,7 @@ TEST(ProtocolTest, LegacyStatsResponseWithoutApproxBlockDecodesToZero) {
   const std::vector<RawFrame> frames = SplitFrames(buffer);
   ASSERT_EQ(frames.size(), 1u);
   const size_t trailing =
-      resp.traces.size() * (kApproxRecordBytes + kTraceIdRecordBytes) +
+      resp.traces.size() * (kReservedRecordBytes + kTraceIdRecordBytes) +
       EmptySpanBlockBytes() + EmptyProfileBlockBytes();
   const std::string legacy =
       frames[0].payload.substr(0, frames[0].payload.size() - trailing);
@@ -359,8 +399,6 @@ TEST(ProtocolTest, LegacyStatsResponseWithoutApproxBlockDecodesToZero) {
       DecodeStatsResponsePayload(Bytes(legacy), legacy.size(), &out).ok());
   ASSERT_EQ(out.traces.size(), 2u);
   for (const obs::QueryTrace& t : out.traces) {
-    EXPECT_EQ(t.approx_level, 0);
-    EXPECT_EQ(t.approx_pruned, 0u);
     EXPECT_EQ(t.trace_hi, 0u);
     EXPECT_EQ(t.trace_lo, 0u);
     EXPECT_EQ(t.filter_hits, 37u);  // fixed records still decode fully
@@ -370,8 +408,7 @@ TEST(ProtocolTest, LegacyStatsResponseWithoutApproxBlockDecodesToZero) {
 }
 
 TEST(ProtocolTest, LegacyStatsResponseWithoutSpanBlocksDecodesEmpty) {
-  // A server that knows approx but not tracing stops after the approx
-  // block: trace ids read as zero, span trees and profile text as
+  // A server that predates tracing stops after the reserved records: trace ids read as zero, span trees and profile text as
   // empty -- tolerant trailing-field evolution, no version bump.
   StatsResponse resp;
   resp.metrics_text = "x 1\n";
@@ -390,7 +427,7 @@ TEST(ProtocolTest, LegacyStatsResponseWithoutSpanBlocksDecodesEmpty) {
   ASSERT_TRUE(
       DecodeStatsResponsePayload(Bytes(legacy), legacy.size(), &out).ok());
   ASSERT_EQ(out.traces.size(), 1u);
-  EXPECT_EQ(out.traces[0].approx_level, 2);  // approx block still present
+  EXPECT_EQ(out.traces[0].filter_hits, 37u);  // fixed records intact
   EXPECT_EQ(out.traces[0].trace_hi, 0u);     // trace ids truncated away
   EXPECT_EQ(out.traces[0].trace_lo, 0u);
   EXPECT_TRUE(out.span_trees.empty());

@@ -384,11 +384,6 @@ TEST_F(QueryServiceTest, TraceRecordsPaperCountersWithLemma2Ordering) {
   EXPECT_EQ(t.status_code, 0);
   EXPECT_EQ(t.cache_hit, 0);
   EXPECT_EQ(t.generation, response->generation);
-  // Approx stage off (level 0): approx_pruned degenerates to
-  // filter_hits, keeping the extended chain intact.
-  EXPECT_EQ(t.approx_level, 0);
-  EXPECT_EQ(t.approx_pruned, t.filter_hits);
-  EXPECT_GE(t.approx_pruned, t.filter_hits);
   EXPECT_GE(t.filter_hits, t.candidates_refined);
   EXPECT_GE(t.candidates_refined, static_cast<uint64_t>(k));
   EXPECT_EQ(t.hungarian_invocations, t.candidates_refined);
@@ -533,66 +528,6 @@ TEST_F(QueryServiceTest, CallerTraceContextFlowsToSpanTreeAndEcho) {
     }
   }
   EXPECT_TRUE(root_found);
-}
-
-TEST_F(QueryServiceTest, ApproxKnobFlowsToTraceWithExtendedChain) {
-  // The per-request knob end to end: QueryOptions.approx_level switches
-  // the filter strategy onto the sketch pre-filter pipeline, the trace
-  // reports the level, and the extended Lemma-2 invariant chain
-  // approx_pruned >= filter_hits >= candidates_refined >= k holds (the
-  // approx stage examines every stored object, then the exact stages
-  // see only survivors).
-  QueryServiceOptions options;
-  options.cache_bytes = 0;
-  QueryService service(db_, engine_, options);
-  const int k = 3;
-  ServiceRequest request;
-  request.object_id = 2;
-  request.options.k = k;
-  request.options.approx_level = 1;
-  request.strategy = QueryStrategy::kVectorSetFilter;
-  StatusOr<ServiceResponse> response = service.Execute(request);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-
-  const std::vector<obs::QueryTrace> traces =
-      service.flight_recorder().Snapshot(1);
-  ASSERT_EQ(traces.size(), 1u);
-  const obs::QueryTrace& t = traces[0];
-  EXPECT_EQ(t.status_code, 0);
-  EXPECT_EQ(t.approx_level, 1);
-  EXPECT_EQ(t.approx_pruned, db_->size());  // stage examined everything
-  EXPECT_GE(t.approx_pruned, t.filter_hits);
-  EXPECT_GE(t.filter_hits, t.candidates_refined);
-  EXPECT_GE(t.candidates_refined, static_cast<uint64_t>(k));
-  const std::string text = service.metrics().TextExposition();
-  EXPECT_NE(text.find("vsim_approx_pruned_total " +
-                      std::to_string(t.approx_pruned) + "\n"),
-            std::string::npos);
-
-  // Out-of-range level is rejected at the single validation point.
-  request.options.approx_level = 99;
-  StatusOr<ServiceResponse> rejected = service.Execute(request);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(QueryServiceTest, ApproxLevelSplitsCacheKey) {
-  // An exact result must never be replayed to an approximate request or
-  // vice versa: the approx level is part of the cache key.
-  QueryServiceOptions options;
-  options.cache_bytes = 4 << 20;
-  QueryService service(db_, engine_, options);
-  ServiceRequest request;
-  request.object_id = 4;
-  request.options.k = 3;
-  ASSERT_TRUE(service.Execute(request).ok());
-  request.options.approx_level = 2;
-  StatusOr<ServiceResponse> other = service.Execute(request);
-  ASSERT_TRUE(other.ok());
-  EXPECT_FALSE(other->cache_hit);
-  StatusOr<ServiceResponse> replay = service.Execute(request);
-  ASSERT_TRUE(replay.ok());
-  EXPECT_TRUE(replay->cache_hit);
 }
 
 TEST_F(QueryServiceTest, CacheHitTraceSkipsStageCounters) {
