@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <map>
 
 #include "vsim/common/stopwatch.h"
@@ -105,17 +106,28 @@ QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params)
   (void)st;
 }
 
-ExactDistanceFn QueryEngine::MakeExactDistance(const ObjectRepr& query) const {
+BoundedDistanceFn QueryEngine::MakeExactDistance(
+    const ObjectRepr& query, size_t* bound_rejected) const {
+  // The candidate is fetched (and its I/O charged) before the bound is
+  // tried: a bound-rejected candidate was still read.
+  const auto refine = [&query, bound_rejected](const VectorSet& candidate,
+                                               double upper) {
+    bool rejected = false;
+    const double d = BoundedVectorSetDistance(query.vector_set, candidate,
+                                              upper, &rejected);
+    if (rejected && bound_rejected != nullptr) ++*bound_rejected;
+    return d;
+  };
   if (store_ != nullptr) {
     // Disk-backed mode: really fetch the candidate through the buffer
     // pool; only cache misses are charged as page accesses.
-    return [this, &query](int id, IoStats* stats) {
+    return [this, refine](int id, double upper, IoStats* stats) {
       StatusOr<VectorSet> candidate = store_->Get(id, stats);
       assert(candidate.ok());
-      return VectorSetDistance(query.vector_set, *candidate);
+      return refine(*candidate, upper);
     };
   }
-  return [this, &query](int id, IoStats* stats) {
+  return [this, refine](int id, double upper, IoStats* stats) {
     const ObjectRepr& candidate = db_->object(id);
     if (stats != nullptr) {
       // Refinement loads the candidate's vector set: one random page
@@ -123,7 +135,13 @@ ExactDistanceFn QueryEngine::MakeExactDistance(const ObjectRepr& query) const {
       stats->AddPageAccesses(1);
       stats->AddBytesRead(candidate.VectorSetBytes());
     }
-    return VectorSetDistance(query.vector_set, candidate.vector_set);
+    return refine(candidate.vector_set, upper);
+  };
+}
+
+ExactDistanceFn QueryEngine::MakeScanDistance(const ObjectRepr& query) const {
+  return [exact = MakeExactDistance(query, nullptr)](int id, IoStats* stats) {
+    return exact(id, std::numeric_limits<double>::infinity(), stats);
   };
 }
 
@@ -147,16 +165,18 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
       MultiStepStats ms;
       result = MultiStepKnn(*centroid_index_, query.centroid,
                             static_cast<double>(num_covers_), k,
-                            MakeExactDistance(query), &local.io, &ms);
+                            MakeExactDistance(query, &local.bound_rejected),
+                            &local.io, &ms);
       local.candidates_refined = ms.candidates_refined;
       local.filter_hits = ms.filter_hits;
-      local.hungarian_invocations = ms.candidates_refined;
+      local.hungarian_invocations =
+          ms.candidates_refined - local.bound_rejected;
       local.refine_seconds = ms.refine_seconds;
       break;
     }
     case QueryStrategy::kVectorSetScan: {
       result = ScanKnn(static_cast<int>(db_->size()), k, scan_bytes_,
-                       params_.page_size_bytes, MakeExactDistance(query),
+                       params_.page_size_bytes, MakeScanDistance(query),
                        &local.io);
       local.candidates_refined = db_->size();
       local.filter_hits = db_->size();  // no filter: everything qualifies
@@ -175,10 +195,11 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
       size_t refined = 0;
       result = centroid_vafile_->MultiStepKnn(
           query.centroid, static_cast<double>(num_covers_), k,
-          MakeExactDistance(query), &local.io, &refined);
+          MakeExactDistance(query, &local.bound_rejected), &local.io,
+          &refined);
       local.candidates_refined = refined;
       local.filter_hits = refined;
-      local.hungarian_invocations = refined;
+      local.hungarian_invocations = refined - local.bound_rejected;
       break;
     }
   }
@@ -276,16 +297,18 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
       MultiStepStats ms;
       result = MultiStepRange(*centroid_index_, query.centroid,
                               static_cast<double>(num_covers_), eps,
-                              MakeExactDistance(query), &local.io, &ms);
+                              MakeExactDistance(query, &local.bound_rejected),
+                              &local.io, &ms);
       local.candidates_refined = ms.candidates_refined;
       local.filter_hits = ms.filter_hits;
-      local.hungarian_invocations = ms.candidates_refined;
+      local.hungarian_invocations =
+          ms.candidates_refined - local.bound_rejected;
       local.refine_seconds = ms.refine_seconds;
       break;
     }
     case QueryStrategy::kVectorSetScan: {
       result = ScanRange(static_cast<int>(db_->size()), eps, scan_bytes_,
-                         params_.page_size_bytes, MakeExactDistance(query),
+                         params_.page_size_bytes, MakeScanDistance(query),
                          &local.io);
       local.candidates_refined = db_->size();
       local.filter_hits = db_->size();  // no filter: everything qualifies
@@ -309,10 +332,11 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
       size_t refined = 0;
       result = centroid_vafile_->MultiStepRange(
           query.centroid, static_cast<double>(num_covers_), eps,
-          MakeExactDistance(query), &local.io, &refined);
+          MakeExactDistance(query, &local.bound_rejected), &local.io,
+          &refined);
       local.candidates_refined = refined;
       local.filter_hits = refined;
-      local.hungarian_invocations = refined;
+      local.hungarian_invocations = refined - local.bound_rejected;
       break;
     }
   }

@@ -55,19 +55,24 @@ const char* QueryStrategyName(QueryStrategy strategy);
 struct QueryCost {
   double cpu_seconds = 0.0;
   IoStats io;
-  size_t candidates_refined = 0;  // exact distance computations
+  size_t candidates_refined = 0;  // candidates taken into refinement
 
   // Per-stage attribution (docs/OBSERVABILITY.md). filter_hits counts
   // candidates the filter step produced (Lemma 2: always >= the number
   // refined under the optimal multi-step algorithm); for scans every
   // stored object is a "hit". hungarian_invocations counts
-  // Kuhn-Munkres minimal-matching runs -- one per refinement for
-  // vector-set strategies, zero for the one-vector model.
+  // Kuhn-Munkres minimal-matching solves actually run; bound_rejected
+  // counts refined candidates whose cost-matrix lower bound already
+  // exceeded the current k-th distance (or eps), so no solve ran. On
+  // the filter strategies bound_rejected + hungarian_invocations ==
+  // candidates_refined; scan and M-tree solve for every candidate; the
+  // one-vector model solves none.
   // filter/refine_seconds split cpu_seconds for filter-and-refine
   // strategies; strategies without a split report the whole execution
   // as one stage (scan/M-tree: refine; one-vector: filter).
   size_t filter_hits = 0;
   size_t hungarian_invocations = 0;
+  size_t bound_rejected = 0;
   double filter_seconds = 0.0;
   double refine_seconds = 0.0;
 
@@ -83,6 +88,7 @@ struct QueryCost {
     candidates_refined += o.candidates_refined;
     filter_hits += o.filter_hits;
     hungarian_invocations += o.hungarian_invocations;
+    bound_rejected += o.bound_rejected;
     filter_seconds += o.filter_seconds;
     refine_seconds += o.refine_seconds;
     return *this;
@@ -146,7 +152,13 @@ class QueryEngine {
   void AttachStore(VectorSetStore* store) { store_ = store; }
 
  private:
-  ExactDistanceFn MakeExactDistance(const ObjectRepr& query) const;
+  // Refinement of filter-strategy candidates: fetches the candidate,
+  // then BoundedVectorSetDistance; counts bound answers in
+  // *bound_rejected when it is non-null.
+  BoundedDistanceFn MakeExactDistance(const ObjectRepr& query,
+                                      size_t* bound_rejected) const;
+  // The scans' full distance (no bound).
+  ExactDistanceFn MakeScanDistance(const ObjectRepr& query) const;
 
   const CadDatabase* db_;
   IoCostParams params_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "vsim/distance/hungarian.h"
 #include "vsim/distance/min_cost_flow.h"
@@ -67,6 +68,103 @@ double Weight(GroundDistance g, const FeatureVector& x,
   return Ground(g, x, omega);
 }
 
+// The flattened sets and the cost matrix of the refinement path, reused
+// across calls on one thread (the solver keeps its own arrays, see
+// hungarian.h).
+struct MatchingScratch {
+  std::vector<double> large_flat;
+  std::vector<double> small_flat;
+  std::vector<double> cost;
+};
+
+MatchingScratch& ThreadMatchingScratch() {
+  thread_local MatchingScratch scratch;
+  return scratch;
+}
+
+// Definition 6's square m x m cost matrix for |large| = m >= |small| =
+// n >= 1, built in the thread's scratch: columns [0, n) are the elements
+// of the smaller set; columns [n, m) are "unmatched" slots charging
+// w(x). The ground block -- the refinement hot loop -- is one batched
+// kernel call over both sets flattened to contiguous buffers
+// (docs/KERNELS.md), writing rows straight into the square matrix.
+const double* BuildCostMatrix(const VectorSet& large, const VectorSet& small,
+                              const MinMatchingOptions& opt) {
+  const int m = static_cast<int>(large.size());
+  const int n = static_cast<int>(small.size());
+  const size_t dim = large.dim();
+  MatchingScratch& s = ThreadMatchingScratch();
+  Flatten(large, dim, &s.large_flat);
+  Flatten(small, dim, &s.small_flat);
+  s.cost.resize(static_cast<size_t>(m) * m);
+  kernels::Active().cost_matrix_build(
+      ToKernelGround(opt.ground), s.large_flat.data(), m, s.small_flat.data(),
+      n, dim, s.cost.data(), m);
+  for (int i = 0; i < m; ++i) {
+    const double w = Weight(opt.ground, large.vectors[i], opt.omega);
+    for (int j = n; j < m; ++j) {
+      s.cost[static_cast<size_t>(i) * m + j] = w;
+    }
+  }
+  return s.cost.data();
+}
+
+// max(sum of row minima, sum of column minima) of a square m x m matrix,
+// the row sum in row order.
+double CostMatrixBound(const double* cost, int m) {
+  double row_sum = 0.0;
+  double column_sum = 0.0;
+  for (int i = 0; i < m; ++i) {
+    const double* row = cost + static_cast<size_t>(i) * m;
+    row_sum += *std::min_element(row, row + m);
+  }
+  for (int j = 0; j < m; ++j) {
+    double column_min = cost[j];
+    for (int i = 1; i < m; ++i) {
+      column_min = std::min(column_min, cost[static_cast<size_t>(i) * m + j]);
+    }
+    column_sum += column_min;
+  }
+  return std::max(row_sum, column_sum);
+}
+
+// Total matching cost (before any square root), summed in row order.
+// With a finite `upper`, a cost-matrix bound above `upper` (beyond its
+// rounding slack) is returned instead of solving; *bound_rejected says
+// which happened.
+double MatchingTotal(const VectorSet& a, const VectorSet& b,
+                     const MinMatchingOptions& opt, double upper,
+                     bool* bound_rejected) {
+  if (bound_rejected != nullptr) *bound_rejected = false;
+  const bool first_is_larger = a.size() >= b.size();
+  const VectorSet& large = first_is_larger ? a : b;
+  const VectorSet& small = first_is_larger ? b : a;
+  const int m = static_cast<int>(large.size());
+  if (small.size() == 0) {
+    // All elements unmatched (or both sets empty): the sum of weights.
+    double total = 0.0;
+    for (int i = 0; i < m; ++i) {
+      total += Weight(opt.ground, large.vectors[i], opt.omega);
+    }
+    return total;
+  }
+  assert(large.dim() == small.dim());
+  const double* cost = BuildCostMatrix(large, small, opt);
+  if (upper < std::numeric_limits<double>::infinity()) {
+    const double bound = CostMatrixBound(cost, m);
+    if (bound > upper * (1.0 + m * kCostBoundSlack)) {
+      if (bound_rejected != nullptr) *bound_rejected = true;
+      return bound;
+    }
+  }
+  return SolveAssignment(cost, m, m, nullptr);
+}
+
+const MinMatchingOptions& VectorSetOptions() {
+  static const MinMatchingOptions options;
+  return options;
+}
+
 }  // namespace
 
 MatchingDistanceResult MinimalMatchingDistanceDetailed(
@@ -91,49 +189,20 @@ MatchingDistanceResult MinimalMatchingDistanceDetailed(
               : Weight(opt.ground, large.vectors[i], opt.omega);
   }
 
+  result.assignment.assign(m, -1);
+  double total = 0.0;
   if (n == 0) {
-    // All elements unmatched: distance is the sum of weights.
-    double total = 0.0;
-    for (int i = 0; i < m; ++i) {
-      total += Weight(opt.ground, large.vectors[i], opt.omega);
+    total = MatchingTotal(a, b, opt, std::numeric_limits<double>::infinity(),
+                          nullptr);
+  } else {
+    total = SolveAssignment(BuildCostMatrix(large, small, opt), m, m,
+                            result.assignment.data());
+    for (int& column : result.assignment) {
+      if (column >= n) column = -1;  // an "unmatched" slot
     }
-    result.assignment.assign(m, -1);
-    result.distance = opt.sqrt_of_total ? std::sqrt(total) : total;
-    result.identity_cost =
-        opt.sqrt_of_total ? std::sqrt(result.identity_cost) : result.identity_cost;
-    return result;
+    result.permutation_used =
+        total < result.identity_cost - 1e-12 * (1.0 + result.identity_cost);
   }
-
-  // Square m x m cost matrix: columns [0, n) are the elements of the
-  // smaller set; columns [n, m) are "unmatched" slots charging w(x).
-  // The ground block -- the refinement hot loop -- is one batched
-  // kernel call over both sets flattened to contiguous buffers
-  // (docs/KERNELS.md), writing rows straight into the square matrix.
-  const size_t dim = large.dim();
-  std::vector<double> large_flat, small_flat;
-  Flatten(large, dim, &large_flat);
-  Flatten(small, dim, &small_flat);
-  std::vector<double> cost(static_cast<size_t>(m) * m);
-  kernels::Active().cost_matrix_build(
-      ToKernelGround(opt.ground), large_flat.data(), m, small_flat.data(), n,
-      dim, cost.data(), m);
-  for (int i = 0; i < m; ++i) {
-    const double w = Weight(opt.ground, large.vectors[i], opt.omega);
-    for (int j = n; j < m; ++j) {
-      cost[static_cast<size_t>(i) * m + j] = w;
-    }
-  }
-  const AssignmentResult assignment = SolveAssignment(cost, m, m);
-
-  result.assignment.resize(m);
-  for (int i = 0; i < m; ++i) {
-    result.assignment[i] = assignment.column_of[i] < n
-                               ? assignment.column_of[i]
-                               : -1;
-  }
-  const double total = assignment.total_cost;
-  result.permutation_used =
-      total < result.identity_cost - 1e-12 * (1.0 + result.identity_cost);
   result.distance = opt.sqrt_of_total ? std::sqrt(total) : total;
   if (opt.sqrt_of_total) {
     result.identity_cost = std::sqrt(result.identity_cost);
@@ -143,11 +212,28 @@ MatchingDistanceResult MinimalMatchingDistanceDetailed(
 
 double MinimalMatchingDistance(const VectorSet& a, const VectorSet& b,
                                const MinMatchingOptions& opt) {
-  return MinimalMatchingDistanceDetailed(a, b, opt).distance;
+  const double total = MatchingTotal(
+      a, b, opt, std::numeric_limits<double>::infinity(), nullptr);
+  return opt.sqrt_of_total ? std::sqrt(total) : total;
 }
 
 double VectorSetDistance(const VectorSet& a, const VectorSet& b) {
-  return MinimalMatchingDistance(a, b, MinMatchingOptions{});
+  return MatchingTotal(a, b, VectorSetOptions(),
+                       std::numeric_limits<double>::infinity(), nullptr);
+}
+
+double BoundedVectorSetDistance(const VectorSet& a, const VectorSet& b,
+                                double upper, bool* bound_rejected) {
+  return MatchingTotal(a, b, VectorSetOptions(), upper, bound_rejected);
+}
+
+double VectorSetCostBound(const VectorSet& a, const VectorSet& b) {
+  const bool first_is_larger = a.size() >= b.size();
+  const VectorSet& large = first_is_larger ? a : b;
+  const VectorSet& small = first_is_larger ? b : a;
+  if (small.size() == 0) return VectorSetDistance(a, b);  // no matching
+  return CostMatrixBound(BuildCostMatrix(large, small, VectorSetOptions()),
+                         static_cast<int>(large.size()));
 }
 
 StatusOr<double> PartialMatchingDistance(const VectorSet& a,

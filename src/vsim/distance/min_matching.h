@@ -6,6 +6,7 @@
 #ifndef VSIM_DISTANCE_MIN_MATCHING_H_
 #define VSIM_DISTANCE_MIN_MATCHING_H_
 
+#include <limits>
 #include <vector>
 
 #include "vsim/common/status.h"
@@ -67,6 +68,40 @@ double MinimalMatchingDistance(const VectorSet& a, const VectorSet& b,
 // The vector set model's distance: Euclidean ground distance, weight
 // w(x) = ||x||, no square root. A metric.
 double VectorSetDistance(const VectorSet& a, const VectorSet& b);
+
+// VectorSetDistance against a threshold, for refinement steps that only
+// need to know whether d(a, b) > upper (optimal multi-step k-NN with
+// upper = the current k-th distance; range queries with upper = eps).
+// Builds the same cost matrix as VectorSetDistance and takes the lower
+// bound VectorSetCostBound over it. If that bound exceeds `upper` by
+// more than its rounding slack (kCostBoundSlack per matrix row), returns
+// the bound -- a value > upper -- without the O(m^3) assignment solve.
+// Otherwise solves and returns a value bitwise equal to
+// VectorSetDistance(a, b). So the result is VectorSetDistance(a, b)
+// whenever that is <= upper, and > upper otherwise. `bound_rejected`,
+// when non-null, reports whether the bound answered. No heap allocation
+// once the thread has computed a distance of this size.
+double BoundedVectorSetDistance(const VectorSet& a, const VectorSet& b,
+                                double upper,
+                                bool* bound_rejected = nullptr);
+
+// The lower bound BoundedVectorSetDistance tests:
+// max(sum of row minima, sum of column minima) of Definition 6's square
+// cost matrix, unmatched-weight columns included. Every perfect
+// matching takes one entry per row and one per column, so both sums are
+// <= the matching cost. The row sum is computed in the solver's row
+// order and never exceeds the computed distance; the column sum adds
+// the same kind of terms in another order, so rounding may put it
+// above the computed distance, by at most (m-1) machine epsilons
+// relative for an m-row matrix of non-negative costs.
+double VectorSetCostBound(const VectorSet& a, const VectorSet& b);
+
+// Relative rounding slack per matrix row of VectorSetCostBound: the
+// bound rejects only if bound > upper * (1 + m * kCostBoundSlack). Four
+// machine epsilons per row is more than twice the worst-case summation
+// error above.
+inline constexpr double kCostBoundSlack =
+    4.0 * std::numeric_limits<double>::epsilon();
 
 // Partial similarity (Section 4.1): the cost of the cheapest matching
 // of exactly `pairs` vector pairs between the two sets, ignoring all

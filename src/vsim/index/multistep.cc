@@ -10,8 +10,9 @@ namespace vsim {
 std::vector<Neighbor> MultiStepKnn(const XTree& filter_index,
                                    const FeatureVector& filter_query,
                                    double filter_scale, int k,
-                                   const ExactDistanceFn& exact_distance,
+                                   const BoundedDistanceFn& distance,
                                    IoStats* stats, MultiStepStats* msstats) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   // Max-heap of the k best exact distances seen so far.
   std::vector<Neighbor> best;  // kept heapified, largest distance on top
   auto cmp = [](const Neighbor& a, const Neighbor& b) {
@@ -22,13 +23,17 @@ std::vector<Neighbor> MultiStepKnn(const XTree& filter_index,
   while (cursor.HasNext()) {
     const double next_bound = cursor.NextDistance() * filter_scale;
     if (static_cast<int>(best.size()) == k &&
-        next_bound > best.front().distance) {
+        FilterBoundExceeds(next_bound, best.front().distance)) {
       break;  // optimal stopping condition (Seidl & Kriegel)
     }
     const Neighbor candidate = cursor.Next();
     ++local.filter_hits;
+    // A candidate enters the answer only if it beats the current k-th
+    // distance, so the distance is needed exactly only up to there.
+    const double upper =
+        static_cast<int>(best.size()) == k ? best.front().distance : kInf;
     Stopwatch refine_watch;
-    const double exact = exact_distance(candidate.id, stats);
+    const double exact = distance(candidate.id, upper, stats);
     local.refine_seconds += refine_watch.ElapsedSeconds();
     ++local.candidates_refined;
     if (static_cast<int>(best.size()) < k) {
@@ -45,19 +50,32 @@ std::vector<Neighbor> MultiStepKnn(const XTree& filter_index,
   return best;
 }
 
+std::vector<Neighbor> MultiStepKnn(const XTree& filter_index,
+                                   const FeatureVector& filter_query,
+                                   double filter_scale, int k,
+                                   const ExactDistanceFn& exact_distance,
+                                   IoStats* stats, MultiStepStats* msstats) {
+  return MultiStepKnn(
+      filter_index, filter_query, filter_scale, k,
+      BoundedDistanceFn([&exact_distance](int id, double, IoStats* s) {
+        return exact_distance(id, s);
+      }),
+      stats, msstats);
+}
+
 std::vector<int> MultiStepRange(const XTree& filter_index,
                                 const FeatureVector& filter_query,
                                 double filter_scale, double eps,
-                                const ExactDistanceFn& exact_distance,
+                                const BoundedDistanceFn& distance,
                                 IoStats* stats, MultiStepStats* msstats) {
-  const std::vector<int> candidates =
-      filter_index.RangeQuery(filter_query, eps / filter_scale, stats);
+  const std::vector<int> candidates = filter_index.RangeQuery(
+      filter_query, (eps + kFilterSlack * (1.0 + eps)) / filter_scale, stats);
   MultiStepStats local;
   local.filter_hits = candidates.size();
   std::vector<int> result;
   for (int id : candidates) {
     Stopwatch refine_watch;
-    const double exact = exact_distance(id, stats);
+    const double exact = distance(id, eps, stats);
     local.refine_seconds += refine_watch.ElapsedSeconds();
     ++local.candidates_refined;
     if (exact <= eps) result.push_back(id);

@@ -125,7 +125,7 @@ struct VaCandidate {
 
 std::vector<Neighbor> VaFile::MultiStepKnn(const FeatureVector& query,
                                            double filter_scale, int k,
-                                           const ExactDistanceFn& exact,
+                                           const BoundedDistanceFn& exact,
                                            IoStats* stats,
                                            size_t* refined) const {
   ChargeApproximationScan(stats);
@@ -142,10 +142,13 @@ std::vector<Neighbor> VaFile::MultiStepKnn(const FeatureVector& query,
   size_t fetched = 0;
   for (const VaCandidate& cand : candidates) {
     if (static_cast<int>(best.size()) == k &&
-        cand.lower_bound > best.front().distance) {
+        FilterBoundExceeds(cand.lower_bound, best.front().distance)) {
       break;  // optimal stopping
     }
-    const double d = exact(ids_[cand.index], stats);
+    const double upper = static_cast<int>(best.size()) == k
+                             ? best.front().distance
+                             : std::numeric_limits<double>::infinity();
+    const double d = exact(ids_[cand.index], upper, stats);
     ++fetched;
     if (static_cast<int>(best.size()) < k) {
       best.push_back({ids_[cand.index], d});
@@ -163,7 +166,7 @@ std::vector<Neighbor> VaFile::MultiStepKnn(const FeatureVector& query,
 
 std::vector<int> VaFile::MultiStepRange(const FeatureVector& query,
                                         double filter_scale, double eps,
-                                        const ExactDistanceFn& exact,
+                                        const BoundedDistanceFn& exact,
                                         IoStats* stats,
                                         size_t* refined) const {
   ChargeApproximationScan(stats);
@@ -172,8 +175,8 @@ std::vector<int> VaFile::MultiStepRange(const FeatureVector& query,
   for (size_t i = 0; i < ids_.size(); ++i) {
     const double bound =
         filter_scale * std::sqrt(SquaredLowerBound(query, i));
-    if (bound > eps) continue;
-    const double d = exact(ids_[i], stats);
+    if (FilterBoundExceeds(bound, eps)) continue;
+    const double d = exact(ids_[i], eps, stats);
     ++fetched;
     if (d <= eps) result.push_back(ids_[i]);
   }
@@ -186,7 +189,7 @@ std::vector<Neighbor> VaFile::KnnQuery(const FeatureVector& query, int k,
                                        size_t* refined) const {
   // Exact Euclidean k-NN on the stored vectors: refinement fetches the
   // vector and computes the distance directly.
-  auto exact = [this, &query](int id, IoStats* s) {
+  auto exact = [this, &query](int id, double /*upper*/, IoStats* s) {
     ChargeVectorFetch(s);
     // ids are unique positions; find the record (ids_ is typically the
     // identity permutation, so try the direct slot first).

@@ -51,16 +51,17 @@ class VaFile {
   // Filter-and-refine against an *external* exact distance (e.g. the
   // minimal matching distance with the stored points being extended
   // centroids): `filter_scale` * (Euclidean lower bound from the
-  // approximation) must lower-bound `exact_distance`. Optimal stopping
-  // as in Seidl & Kriegel.
+  // approximation) must lower-bound `distance`. Optimal stopping as in
+  // Seidl & Kriegel; each candidate is refined against the current k-th
+  // distance (k-NN) or eps (range), as in multistep.h.
   std::vector<Neighbor> MultiStepKnn(const FeatureVector& query,
                                      double filter_scale, int k,
-                                     const ExactDistanceFn& exact_distance,
+                                     const BoundedDistanceFn& distance,
                                      IoStats* stats = nullptr,
                                      size_t* refined = nullptr) const;
   std::vector<int> MultiStepRange(const FeatureVector& query,
                                   double filter_scale, double eps,
-                                  const ExactDistanceFn& exact_distance,
+                                  const BoundedDistanceFn& distance,
                                   IoStats* stats = nullptr,
                                   size_t* refined = nullptr) const;
 

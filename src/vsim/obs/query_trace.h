@@ -2,8 +2,9 @@
 // to answer "why was this query slow?" after the fact -- per-stage wall
 // time plus the paper-native counters of the filter-and-refine pipeline
 // (Section 4.3 / Table 2): how many candidates the Lemma-2 centroid
-// filter produced, how many reached the O(k^3) Kuhn-Munkres refinement,
-// and what the charged I/O cost model billed.
+// filter produced, how many were refined, how many of those the
+// cost-matrix bound settled and how many needed the O(k^3) Kuhn-Munkres
+// solve, and what the charged I/O cost model billed.
 //
 // The struct is a trivially-copyable POD sized in whole 64-bit words so
 // the flight recorder can publish it through a seqlock of atomic words
@@ -44,8 +45,11 @@ struct QueryTrace {
 
   // Paper-native counters (zero on cache hits and failures).
   uint64_t filter_hits = 0;            // candidates the filter produced
-  uint64_t candidates_refined = 0;     // exact distance evaluations
-  uint64_t hungarian_invocations = 0;  // Kuhn-Munkres runs
+  uint64_t candidates_refined = 0;     // candidates taken into refinement
+  uint64_t hungarian_invocations = 0;  // Kuhn-Munkres solves run
+  // Refined, but the cost-matrix bound exceeded the k-th distance (or
+  // eps), so no solve ran. In-process only: not on the stats wire.
+  uint64_t bound_rejected = 0;
   uint64_t page_accesses = 0;          // charged cost model (8 ms/page)
   uint64_t bytes_read = 0;             // charged cost model (200 ns/byte)
 

@@ -77,7 +77,12 @@ void QueryService::RegisterMetrics() {
       "Candidates that reached the exact distance refinement");
   hungarian_total_ = metrics_.RegisterCounter(
       "vsim_hungarian_invocations_total",
-      "Kuhn-Munkres minimal-matching runs");
+      "Kuhn-Munkres minimal-matching solves run (refined candidates the "
+      "cost-matrix bound did not settle)");
+  bound_rejected_total_ = metrics_.RegisterCounter(
+      "vsim_refine_bound_rejected_total",
+      "Refined candidates settled by the cost-matrix lower bound without "
+      "a Kuhn-Munkres solve");
   io_pages_total_ = metrics_.RegisterCounter(
       "vsim_io_page_accesses_total",
       "Charged page accesses of the paper cost model (8 ms/page)");
@@ -183,6 +188,7 @@ void QueryService::RecordTrace(const obs::QueryTrace& trace) {
   filter_hits_total_->Increment(trace.filter_hits);
   candidates_refined_total_->Increment(trace.candidates_refined);
   hungarian_total_->Increment(trace.hungarian_invocations);
+  bound_rejected_total_->Increment(trace.bound_rejected);
   io_pages_total_->Increment(trace.page_accesses);
   io_bytes_total_->Increment(trace.bytes_read);
 }
@@ -458,6 +464,7 @@ StatusOr<ServiceResponse> QueryService::RunAdmitted(
     trace.filter_hits = r.cost.filter_hits;
     trace.candidates_refined = r.cost.candidates_refined;
     trace.hungarian_invocations = r.cost.hungarian_invocations;
+    trace.bound_rejected = r.cost.bound_rejected;
     trace.page_accesses = r.cost.io.page_accesses();
     trace.bytes_read = r.cost.io.bytes_read();
   } else {

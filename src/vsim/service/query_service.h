@@ -312,6 +312,7 @@ class QueryService {
   obs::Counter* filter_hits_total_ = nullptr;
   obs::Counter* candidates_refined_total_ = nullptr;
   obs::Counter* hungarian_total_ = nullptr;
+  obs::Counter* bound_rejected_total_ = nullptr;
   obs::Counter* io_pages_total_ = nullptr;
   obs::Counter* io_bytes_total_ = nullptr;
   obs::Gauge* generation_gauge_ = nullptr;

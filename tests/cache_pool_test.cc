@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "test_paths.h"
 #include "vsim/cache/page_cache.h"
 #include "vsim/common/rng.h"
 #include "vsim/features/feature_vector.h"
@@ -24,10 +25,6 @@
 
 namespace vsim {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 // Writes `count` pages whose every byte identifies the page, so a
 // reader can detect a frame serving the wrong page's bytes.
@@ -53,7 +50,7 @@ bool PageBytesMatch(const cache::PageHandle& h, int i, size_t page_size) {
 // --- concurrent fetch/evict/pin stress --------------------------------
 
 TEST(CachePoolStressTest, ConcurrentFetchWithForcedEvictionChurn) {
-  const std::string path = TempPath("cp_stress.vspg");
+  const std::string path = TestTempPath("cp_stress.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   constexpr int kPages = 64;
@@ -99,7 +96,7 @@ TEST(CachePoolStressTest, ConcurrentFetchWithForcedEvictionChurn) {
 }
 
 TEST(CachePoolStressTest, HandlesMoveAndUnpinAcrossThreads) {
-  const std::string path = TempPath("cp_move.vspg");
+  const std::string path = TestTempPath("cp_move.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   const std::vector<PageId> pages = FillIdentifiablePages(&*file, 8);
@@ -128,7 +125,7 @@ TEST(CachePoolStressTest, HandlesMoveAndUnpinAcrossThreads) {
 // its pin across a 200 µs sleep, so Fetches meet saturated shards
 // constantly and have to wait.
 TEST(CachePoolStressTest, SaturatedShardFetchWaitsForUnpin) {
-  const std::string path = TempPath("cp_saturated.vspg");
+  const std::string path = TestTempPath("cp_saturated.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   constexpr int kPages = 16;
@@ -166,7 +163,7 @@ TEST(CachePoolStressTest, SaturatedShardFetchWaitsForUnpin) {
 // --- pin-count-prevents-eviction regression ---------------------------
 
 TEST(CachePoolTest, PinnedPageSurvivesEvictionChurn) {
-  const std::string path = TempPath("cp_pin.vspg");
+  const std::string path = TestTempPath("cp_pin.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   constexpr int kPages = 32;
@@ -203,7 +200,7 @@ TEST(CachePoolTest, PinnedPageSurvivesEvictionChurn) {
 // --- tier accounting --------------------------------------------------
 
 TEST(CachePoolTierTest, HotPagesNeverEvictedWhileColdAreAvailable) {
-  const std::string path = TempPath("cp_tier.vspg");
+  const std::string path = TestTempPath("cp_tier.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   constexpr int kPages = 48;
@@ -234,7 +231,7 @@ TEST(CachePoolTierTest, HotPagesNeverEvictedWhileColdAreAvailable) {
 }
 
 TEST(CachePoolTierTest, HotFramesReclaimedOnlyWhenNoColdVictimExists) {
-  const std::string path = TempPath("cp_tier2.vspg");
+  const std::string path = TestTempPath("cp_tier2.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   const std::vector<PageId> pages = FillIdentifiablePages(&*file, 4);
@@ -251,7 +248,7 @@ TEST(CachePoolTierTest, HotFramesReclaimedOnlyWhenNoColdVictimExists) {
 }
 
 TEST(CachePoolTierTest, RetierAndPromotionCountersTrackTierFlow) {
-  const std::string path = TempPath("cp_tier3.vspg");
+  const std::string path = TestTempPath("cp_tier3.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   const std::vector<PageId> pages = FillIdentifiablePages(&*file, 4);
@@ -291,7 +288,7 @@ TEST(CachePoolTierTest, RetierAndPromotionCountersTrackTierFlow) {
 // serves concurrent readers correctly.
 
 TEST(CachePoolConcurrentStoreTest, StoreGetIsConcurrentlySafe) {
-  const std::string path = TempPath("cp_store.vspg");
+  const std::string path = TestTempPath("cp_store.vspg");
   // 2-frame pool over dozens of pages: constant eviction while many
   // threads read.
   StatusOr<VectorSetStore> store = VectorSetStore::Create(path, 512, 2);

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "test_paths.h"
 #include "vsim/common/rng.h"
 #include "vsim/core/similarity.h"
 #include "vsim/data/dataset.h"
@@ -24,10 +25,6 @@
 
 namespace vsim {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 std::vector<char> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -70,7 +67,7 @@ void ExerciseStore(const std::string& path) {
 }
 
 TEST(CorruptFileTest, TruncatedStoreFilesFailCleanly) {
-  const std::string path = TempPath("trunc.vspg");
+  const std::string path = TestTempPath("trunc.vspg");
   const std::vector<char> valid = MakeValidStoreFile(path);
   ASSERT_GT(valid.size(), 1024u);
   // Every truncation point in the header page, then page-granular and
@@ -84,7 +81,7 @@ TEST(CorruptFileTest, TruncatedStoreFilesFailCleanly) {
 }
 
 TEST(CorruptFileTest, BitFlippedStoreFilesFailCleanly) {
-  const std::string path = TempPath("flip.vspg");
+  const std::string path = TestTempPath("flip.vspg");
   const std::vector<char> valid = MakeValidStoreFile(path);
   Rng rng(37);
   // Single-byte corruptions sweeping the whole file (headers, record
@@ -112,7 +109,7 @@ TEST(CorruptFileTest, BitFlippedStoreFilesFailCleanly) {
 }
 
 TEST(CorruptFileTest, StoreHeaderPageCountLiesFailCleanly) {
-  const std::string path = TempPath("count.vspg");
+  const std::string path = TestTempPath("count.vspg");
   std::vector<char> valid = MakeValidStoreFile(path);
   // Inflate the header's page count far past the real file size: reads
   // of the phantom pages must fail with short-read Status errors.
@@ -134,7 +131,7 @@ TEST(CorruptFileTest, MutatedDiskTreeFilesFailCleanly) {
     for (double& v : p) v = rng.Uniform(-2, 2);
     ASSERT_TRUE(tree.Insert(p, i).ok());
   }
-  const std::string path = TempPath("mutated.vsdx");
+  const std::string path = TestTempPath("mutated.vsdx");
   ASSERT_TRUE(DiskXTree::Write(tree, path, 512).ok());
   const std::vector<char> valid = ReadFile(path);
   ASSERT_GT(valid.size(), 1024u);
@@ -179,7 +176,7 @@ TEST(CorruptFileTest, MutatedDatabaseFilesFailCleanly) {
   StatusOr<CadDatabase> built = CadDatabase::FromDataset(ds, opt);
   ASSERT_TRUE(built.ok());
 
-  const std::string path = TempPath("mutated.vsimdb");
+  const std::string path = TestTempPath("mutated.vsimdb");
   ASSERT_TRUE(built->Save(path).ok());
   const std::vector<char> valid = ReadFile(path);
   ASSERT_GT(valid.size(), 64u);

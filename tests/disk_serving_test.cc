@@ -6,7 +6,6 @@
 // buffer pool => no concurrent disk-backed serving); the suite runs
 // under TSan in CI (tools/check_tsan.sh).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <memory>
@@ -14,18 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "test_paths.h"
 #include "vsim/data/dataset.h"
 #include "vsim/service/db_snapshot.h"
 #include "vsim/service/query_service.h"
 
 namespace vsim {
 namespace {
-
-// Process-unique: concurrent runs of this suite (say, several copies
-// under --gtest_repeat) must not rewrite each other's store files.
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
-}
 
 StatusOr<CadDatabase> BuildDb(int objects = 30) {
   const Dataset ds = MakeCarDataset(objects, 99);
@@ -49,7 +43,7 @@ TEST(DiskServingTest, DiskBackedSnapshotMatchesRamResidentEngine) {
   // default RAM demotion.
   StatusOr<std::shared_ptr<const DbSnapshot>> snap =
       DbSnapshot::CreateDiskBacked(std::move(*disk_db),
-                                   TempPath("ds_match.vsstore"), 1,
+                                   TestTempPath("ds_match.vsstore"), 1,
                                    IoCostParams{}, 8,
                                    /*keep_ram_sets=*/true);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
@@ -77,7 +71,7 @@ TEST(DiskServingTest, ConcurrentClientsOverDiskBackedSnapshot) {
   ASSERT_TRUE(db.ok());
   StatusOr<std::shared_ptr<const DbSnapshot>> snap =
       DbSnapshot::CreateDiskBacked(std::move(*db),
-                                   TempPath("ds_serve.vsstore"), 1,
+                                   TestTempPath("ds_serve.vsstore"), 1,
                                    IoCostParams{}, 2);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
@@ -159,7 +153,7 @@ TEST(DiskServingTest, KeepRamSetsRetainsCopiesAndReportsGaugeNonZero) {
   ASSERT_TRUE(db.ok());
   StatusOr<std::shared_ptr<const DbSnapshot>> snap =
       DbSnapshot::CreateDiskBacked(std::move(*db),
-                                   TempPath("ds_keep.vsstore"), 1,
+                                   TestTempPath("ds_keep.vsstore"), 1,
                                    IoCostParams{}, 8,
                                    /*keep_ram_sets=*/true);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
@@ -190,7 +184,7 @@ TEST(DiskServingTest, DemotedSnapshotAnswersStoredIdQueriesExactly) {
   ASSERT_TRUE(disk_db.ok());
   StatusOr<std::shared_ptr<const DbSnapshot>> snap =
       DbSnapshot::CreateDiskBacked(std::move(*disk_db),
-                                   TempPath("ds_demote.vsstore"), 1,
+                                   TestTempPath("ds_demote.vsstore"), 1,
                                    IoCostParams{}, 8);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   QueryServiceOptions options;

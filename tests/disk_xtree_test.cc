@@ -6,14 +6,11 @@
 #include <cstdio>
 #include <numeric>
 
+#include "test_paths.h"
 #include "vsim/common/rng.h"
 
 namespace vsim {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 struct World {
   XTree memory{1};
@@ -51,7 +48,7 @@ TEST_P(DiskXTreeParamTest, QueriesMatchInMemoryTree) {
   // once as a corrupt read that sent the loader into a giant
   // allocation -- see the bounds checks in DiskXTree::Open).
   const std::string path =
-      TempPath("disk_tree_" + std::to_string(dim) +
+      TestTempPath("disk_tree_" + std::to_string(dim) +
                (bulk ? "_bulk" : "_ins") + ".vsdx");
   ASSERT_TRUE(DiskXTree::Write(w.memory, path, 1024).ok());
   StatusOr<DiskXTree> disk = DiskXTree::Open(path, 32);
@@ -87,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(DimsAndBuilds, DiskXTreeParamTest,
 
 TEST(DiskXTreeTest, CacheMakesRepeatQueriesCheap) {
   const World w = BuildWorld(6, 3000, 4242, true);
-  const std::string path = TempPath("cache_tree.vsdx");
+  const std::string path = TestTempPath("cache_tree.vsdx");
   ASSERT_TRUE(DiskXTree::Write(w.memory, path, 1024).ok());
   StatusOr<DiskXTree> disk = DiskXTree::Open(path, 256);
   ASSERT_TRUE(disk.ok());
@@ -103,7 +100,7 @@ TEST(DiskXTreeTest, CacheMakesRepeatQueriesCheap) {
 
 TEST(DiskXTreeTest, TinyPoolStillCorrectJustSlower) {
   const World w = BuildWorld(4, 1500, 7, false);
-  const std::string path = TempPath("tiny_pool.vsdx");
+  const std::string path = TestTempPath("tiny_pool.vsdx");
   ASSERT_TRUE(DiskXTree::Write(w.memory, path, 512).ok());
   StatusOr<DiskXTree> small = DiskXTree::Open(path, 2);
   StatusOr<DiskXTree> large = DiskXTree::Open(path, 512);
@@ -126,7 +123,7 @@ TEST(DiskXTreeTest, TinyPoolStillCorrectJustSlower) {
 
 TEST(DiskXTreeTest, EmptyTreeAndErrors) {
   XTree empty(3);
-  const std::string path = TempPath("empty_tree.vsdx");
+  const std::string path = TestTempPath("empty_tree.vsdx");
   ASSERT_TRUE(DiskXTree::Write(empty, path).ok());
   StatusOr<DiskXTree> disk = DiskXTree::Open(path);
   ASSERT_TRUE(disk.ok());

@@ -6,14 +6,11 @@
 #include <cstring>
 #include <string>
 
+#include "test_paths.h"
 #include "vsim/geometry/primitives.h"
 
 namespace vsim {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 TEST(ObjParseTest, MinimalTriangle) {
   const std::string obj =
@@ -71,7 +68,7 @@ TEST(ObjParseTest, RejectsShortFace) {
 
 TEST(MeshIoTest, ObjRoundTrip) {
   const TriangleMesh original = MakeSphere(1.0, 12, 6);
-  const std::string path = TempPath("roundtrip.obj");
+  const std::string path = TestTempPath("roundtrip.obj");
   ASSERT_TRUE(SaveObj(original, path).ok());
   StatusOr<TriangleMesh> loaded = LoadMesh(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -83,7 +80,7 @@ TEST(MeshIoTest, ObjRoundTrip) {
 
 TEST(MeshIoTest, StlBinaryRoundTrip) {
   const TriangleMesh original = MakeTorus(2.0, 0.5, 12, 6);
-  const std::string path = TempPath("roundtrip.stl");
+  const std::string path = TestTempPath("roundtrip.stl");
   ASSERT_TRUE(SaveStlBinary(original, path).ok());
   StatusOr<TriangleMesh> loaded = LoadMesh(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -104,7 +101,7 @@ TEST(MeshIoTest, StlAsciiParses) {
       "  endloop\n"
       " endfacet\n"
       "endsolid test\n";
-  const std::string path = TempPath("ascii.stl");
+  const std::string path = TestTempPath("ascii.stl");
   FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   std::fputs(stl.c_str(), f);
@@ -128,7 +125,7 @@ TEST(MeshIoTest, UnknownExtensionRejected) {
 }
 
 TEST(MeshIoTest, TruncatedBinaryStlRejected) {
-  const std::string path = TempPath("broken.stl");
+  const std::string path = TestTempPath("broken.stl");
   FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   char header[84] = {};

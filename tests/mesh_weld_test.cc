@@ -7,6 +7,7 @@
 #include "vsim/geometry/primitives.h"
 #include "vsim/index/mtree.h"
 
+#include "test_paths.h"
 #include "vsim/common/rng.h"
 #include "vsim/distance/lp.h"
 
@@ -16,7 +17,7 @@ namespace {
 TEST(WeldTest, StlRoundTripRestoresSharedTopology) {
   // STL triplicates vertices; welding restores the original counts.
   const TriangleMesh original = MakeSphere(1.0, 16, 8);
-  const std::string path = ::testing::TempDir() + "/weld.stl";
+  const std::string path = TestTempPath("weld.stl");
   ASSERT_TRUE(SaveStlBinary(original, path).ok());
   StatusOr<TriangleMesh> loaded = LoadStl(path);
   ASSERT_TRUE(loaded.ok());

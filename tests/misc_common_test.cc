@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "test_paths.h"
 #include "vsim/common/math_util.h"
 #include "vsim/common/stopwatch.h"
 #include "vsim/common/table_printer.h"
@@ -64,7 +65,7 @@ TEST(TablePrinterTest, AlignsColumns) {
   t.AddRow({"scan", "1.5"});
   t.AddRow({"filter+refine", "0.3"});
   // Render to a temp file and inspect.
-  const std::string path = ::testing::TempDir() + "/table.txt";
+  const std::string path = TestTempPath("table.txt");
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   t.Print(f);
@@ -84,7 +85,7 @@ TEST(TablePrinterTest, AlignsColumns) {
 TEST(TablePrinterTest, CsvOutput) {
   TablePrinter t({"a", "b"});
   t.AddRow({"1", "2"});
-  const std::string path = ::testing::TempDir() + "/table.csv";
+  const std::string path = TestTempPath("table.csv");
   std::FILE* f = std::fopen(path.c_str(), "w");
   t.PrintCsv(f);
   std::fclose(f);

@@ -26,6 +26,11 @@ struct World {
       return VectorSetDistance(query, sets[id]);
     };
   }
+  BoundedDistanceFn BoundedFor(const VectorSet& query) const {
+    return [this, &query](int id, double upper, IoStats*) {
+      return BoundedVectorSetDistance(query, sets[id], upper);
+    };
+  }
 };
 
 World MakeWorld(int count, uint64_t seed) {
@@ -64,6 +69,13 @@ TEST(MultiStepKnnTest, MatchesExactScan) {
     ASSERT_EQ(got.size(), static_cast<size_t>(k));
     for (int i = 0; i < k; ++i) {
       EXPECT_NEAR(got[i].distance, all[i], 1e-9);
+    }
+    // Refining against the current k-th distance changes no answer.
+    const auto bounded = MultiStepKnn(*w.index, w.centroids[qi], w.k, k,
+                                      w.BoundedFor(w.sets[qi]));
+    ASSERT_EQ(bounded.size(), got.size());
+    for (int i = 0; i < k; ++i) {
+      EXPECT_EQ(bounded[i].distance, got[i].distance);
     }
   }
 }
@@ -106,7 +118,7 @@ TEST(MultiStepRangeTest, MatchesExactScan) {
     const int qi = static_cast<int>(rng.NextBounded(w.sets.size()));
     const double eps = rng.Uniform(0.3, 1.5);
     auto got = MultiStepRange(*w.index, w.centroids[qi], w.k, eps,
-                              w.ExactFor(w.sets[qi]));
+                              w.BoundedFor(w.sets[qi]));
     std::vector<int> expect;
     for (size_t i = 0; i < w.sets.size(); ++i) {
       if (VectorSetDistance(w.sets[qi], w.sets[i]) <= eps) {

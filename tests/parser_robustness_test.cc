@@ -7,6 +7,7 @@
 #include <fstream>
 #include <string>
 
+#include "test_paths.h"
 #include "vsim/common/rng.h"
 #include "vsim/core/similarity.h"
 #include "vsim/geometry/mesh_io.h"
@@ -14,10 +15,6 @@
 
 namespace vsim {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 TEST(ParserRobustnessTest, RandomGarbageObjNeverCrashes) {
   Rng rng(13);
@@ -66,7 +63,7 @@ TEST(ParserRobustnessTest, HugeFaceIndexRejectedNotAllocated) {
 
 TEST(ParserRobustnessTest, RandomGarbageStlFiles) {
   Rng rng(19);
-  const std::string path = TempPath("garbage.stl");
+  const std::string path = TestTempPath("garbage.stl");
   for (int trial = 0; trial < 60; ++trial) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     const size_t len = rng.NextBounded(300);
@@ -82,7 +79,7 @@ TEST(ParserRobustnessTest, RandomGarbageStlFiles) {
 
 TEST(ParserRobustnessTest, RandomGarbageDatabaseFiles) {
   Rng rng(23);
-  const std::string path = TempPath("garbage.vsimdb");
+  const std::string path = TestTempPath("garbage.vsimdb");
   for (int trial = 0; trial < 60; ++trial) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     // Half the trials start with the valid magic to reach deeper code.
@@ -100,7 +97,7 @@ TEST(ParserRobustnessTest, RandomGarbageDatabaseFiles) {
 
 TEST(ParserRobustnessTest, RandomGarbageXTreeFiles) {
   Rng rng(29);
-  const std::string path = TempPath("garbage.vsxt");
+  const std::string path = TestTempPath("garbage.vsxt");
   for (int trial = 0; trial < 60; ++trial) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (trial % 2 == 0) out.write("VSXTRE01", 8);

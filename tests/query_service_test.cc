@@ -386,7 +386,8 @@ TEST_F(QueryServiceTest, TraceRecordsPaperCountersWithLemma2Ordering) {
   EXPECT_EQ(t.generation, response->generation);
   EXPECT_GE(t.filter_hits, t.candidates_refined);
   EXPECT_GE(t.candidates_refined, static_cast<uint64_t>(k));
-  EXPECT_EQ(t.hungarian_invocations, t.candidates_refined);
+  EXPECT_EQ(t.bound_rejected + t.hungarian_invocations, t.candidates_refined);
+  EXPECT_EQ(t.bound_rejected, response->cost.bound_rejected);
   EXPECT_EQ(t.candidates_refined, response->cost.candidates_refined);
   EXPECT_GT(t.total_seconds, 0.0);
   EXPECT_GE(t.total_seconds, t.queue_seconds + t.cpu_seconds - 1e-9);
@@ -402,6 +403,9 @@ TEST_F(QueryServiceTest, TraceRecordsPaperCountersWithLemma2Ordering) {
             std::string::npos);
   EXPECT_NE(text.find("vsim_hungarian_invocations_total " +
                       std::to_string(t.hungarian_invocations) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("vsim_refine_bound_rejected_total " +
+                      std::to_string(t.bound_rejected) + "\n"),
             std::string::npos);
   EXPECT_NE(text.find("vsim_requests_completed_total 1\n"),
             std::string::npos);

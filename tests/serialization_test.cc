@@ -3,15 +3,12 @@
 #include <cstdio>
 #include <fstream>
 
+#include "test_paths.h"
 #include "vsim/core/similarity.h"
 #include "vsim/data/dataset.h"
 
 namespace vsim {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 ExtractionOptions SmallOptions() {
   ExtractionOptions opt;
@@ -26,7 +23,7 @@ TEST(SerializationTest, RoundTripPreservesEverything) {
   StatusOr<CadDatabase> built = CadDatabase::FromDataset(ds, SmallOptions());
   ASSERT_TRUE(built.ok());
 
-  const std::string path = TempPath("roundtrip.vsimdb");
+  const std::string path = TestTempPath("roundtrip.vsimdb");
   ASSERT_TRUE(built->Save(path).ok());
   StatusOr<CadDatabase> loaded = CadDatabase::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -74,7 +71,7 @@ TEST(SerializationTest, MissingFileFails) {
 }
 
 TEST(SerializationTest, BadMagicRejected) {
-  const std::string path = TempPath("bad_magic.vsimdb");
+  const std::string path = TestTempPath("bad_magic.vsimdb");
   std::ofstream out(path, std::ios::binary);
   out << "NOTVSIMDBx and some garbage";
   out.close();
@@ -89,7 +86,7 @@ TEST(SerializationTest, TruncatedFileFails) {
   const Dataset ds = MakeCarDataset(6, 3);
   StatusOr<CadDatabase> built = CadDatabase::FromDataset(ds, SmallOptions());
   ASSERT_TRUE(built.ok());
-  const std::string path = TempPath("truncated.vsimdb");
+  const std::string path = TestTempPath("truncated.vsimdb");
   ASSERT_TRUE(built->Save(path).ok());
   // Read, truncate to 60%, rewrite.
   std::ifstream in(path, std::ios::binary);
@@ -107,7 +104,7 @@ TEST(SerializationTest, TruncatedFileFails) {
 
 TEST(SerializationTest, EmptyDatabaseRoundTrips) {
   CadDatabase db(SmallOptions());
-  const std::string path = TempPath("empty.vsimdb");
+  const std::string path = TestTempPath("empty.vsimdb");
   ASSERT_TRUE(db.Save(path).ok());
   StatusOr<CadDatabase> loaded = CadDatabase::Load(path);
   ASSERT_TRUE(loaded.ok());

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "test_paths.h"
 #include "vsim/cache/page_cache.h"
 #include "vsim/common/rng.h"
 #include "vsim/storage/paged_file.h"
@@ -16,14 +17,10 @@
 namespace vsim {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 // --- PagedFile ----------------------------------------------------------
 
 TEST(PagedFileTest, CreateAllocateReadWrite) {
-  const std::string path = TempPath("pf1.vspg");
+  const std::string path = TestTempPath("pf1.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   EXPECT_EQ(file->page_count(), 0u);
@@ -47,7 +44,7 @@ TEST(PagedFileTest, CreateAllocateReadWrite) {
 }
 
 TEST(PagedFileTest, PersistsAcrossReopen) {
-  const std::string path = TempPath("pf2.vspg");
+  const std::string path = TestTempPath("pf2.vspg");
   {
     StatusOr<PagedFile> file = PagedFile::Create(path, 512);
     ASSERT_TRUE(file.ok());
@@ -68,28 +65,28 @@ TEST(PagedFileTest, PersistsAcrossReopen) {
 }
 
 TEST(PagedFileTest, RejectsBadInput) {
-  EXPECT_FALSE(PagedFile::Create(TempPath("pf3.vspg"), 100).ok());
+  EXPECT_FALSE(PagedFile::Create(TestTempPath("pf3.vspg"), 100).ok());
   EXPECT_FALSE(PagedFile::Open("/nonexistent/file.vspg").ok());
   // Non-paged file content.
-  const std::string junk = TempPath("junk.vspg");
+  const std::string junk = TestTempPath("junk.vspg");
   std::FILE* f = std::fopen(junk.c_str(), "wb");
   std::fputs("this is not a paged file at all, not even close", f);
   std::fclose(f);
   EXPECT_FALSE(PagedFile::Open(junk).ok());
   std::remove(junk.c_str());
 
-  StatusOr<PagedFile> file = PagedFile::Create(TempPath("pf4.vspg"), 512);
+  StatusOr<PagedFile> file = PagedFile::Create(TestTempPath("pf4.vspg"), 512);
   ASSERT_TRUE(file.ok());
   std::vector<char> buf(512);
   EXPECT_FALSE(file->Read(0, buf.data()).ok());   // header not readable
   EXPECT_FALSE(file->Read(99, buf.data()).ok());  // out of range
-  std::remove(TempPath("pf4.vspg").c_str());
+  std::remove(TestTempPath("pf4.vspg").c_str());
 }
 
 // --- PagedFile concurrency ----------------------------------------------
 
 TEST(PagedFileTest, ConcurrentPositionedIo) {
-  const std::string path = TempPath("pf5.vspg");
+  const std::string path = TestTempPath("pf5.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   constexpr int kPages = 16;
@@ -144,7 +141,7 @@ TEST(PagedFileTest, ConcurrentPositionedIo) {
 // clock sweep order is predictable.
 
 TEST(BufferPoolTest, HitsAndMisses) {
-  const std::string path = TempPath("bp1.vspg");
+  const std::string path = TestTempPath("bp1.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   std::vector<PageId> pages;
@@ -175,7 +172,7 @@ TEST(BufferPoolTest, HitsAndMisses) {
 }
 
 TEST(BufferPoolTest, DirtyPagesWrittenBackOnEviction) {
-  const std::string path = TempPath("bp2.vspg");
+  const std::string path = TestTempPath("bp2.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   StatusOr<PageId> p1 = file->Allocate();
@@ -197,7 +194,7 @@ TEST(BufferPoolTest, DirtyPagesWrittenBackOnEviction) {
 }
 
 TEST(BufferPoolTest, AllFramesPinnedFails) {
-  const std::string path = TempPath("bp3.vspg");
+  const std::string path = TestTempPath("bp3.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   StatusOr<PageId> p1 = file->Allocate();
@@ -212,7 +209,7 @@ TEST(BufferPoolTest, AllFramesPinnedFails) {
 }
 
 TEST(BufferPoolTest, ClockEvictsUnreferencedPage) {
-  const std::string path = TempPath("bp4.vspg");
+  const std::string path = TestTempPath("bp4.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
   std::vector<PageId> pages;
@@ -244,7 +241,7 @@ VectorSet RandomSet(Rng& rng, int max_vectors = 7, int dim = 6) {
 }
 
 TEST(VectorSetStoreTest, AppendGetRoundTrip) {
-  const std::string path = TempPath("store1.vspg");
+  const std::string path = TestTempPath("store1.vspg");
   StatusOr<VectorSetStore> store = VectorSetStore::Create(path, 512, 4);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   Rng rng(7);
@@ -268,7 +265,7 @@ TEST(VectorSetStoreTest, AppendGetRoundTrip) {
 }
 
 TEST(VectorSetStoreTest, PersistsAcrossReopen) {
-  const std::string path = TempPath("store2.vspg");
+  const std::string path = TestTempPath("store2.vspg");
   Rng rng(9);
   std::vector<VectorSet> originals;
   {
@@ -295,7 +292,7 @@ TEST(VectorSetStoreTest, PersistsAcrossReopen) {
 }
 
 TEST(VectorSetStoreTest, CacheMissesChargedHitsFree) {
-  const std::string path = TempPath("store3.vspg");
+  const std::string path = TestTempPath("store3.vspg");
   // Tiny pool: 2 frames; small pages so objects spread across pages.
   StatusOr<VectorSetStore> store = VectorSetStore::Create(path, 512, 2);
   ASSERT_TRUE(store.ok());
@@ -315,7 +312,7 @@ TEST(VectorSetStoreTest, CacheMissesChargedHitsFree) {
 }
 
 TEST(VectorSetStoreTest, RejectsOversizedRecordAndBadIds) {
-  const std::string path = TempPath("store4.vspg");
+  const std::string path = TestTempPath("store4.vspg");
   StatusOr<VectorSetStore> store = VectorSetStore::Create(path, 256, 2);
   ASSERT_TRUE(store.ok());
   VectorSet huge;
@@ -329,7 +326,7 @@ TEST(VectorSetStoreTest, RejectsOversizedRecordAndBadIds) {
 }
 
 TEST(VectorSetStoreTest, EmptySetRoundTrips) {
-  const std::string path = TempPath("store5.vspg");
+  const std::string path = TestTempPath("store5.vspg");
   StatusOr<VectorSetStore> store = VectorSetStore::Create(path, 512, 2);
   ASSERT_TRUE(store.ok());
   VectorSet empty;

@@ -148,7 +148,7 @@ TEST(VaFileTest, MultiStepWithExternalDistance) {
   VaFile va(4);
   ASSERT_TRUE(va.Build(pts, Iota(300)).ok());
   const FeatureVector query = pts[11];
-  auto exact = [&](int id, IoStats*) {
+  auto exact = [&](int id, double /*upper*/, IoStats*) {
     return 3.0 * EuclideanDistance(query, pts[id]);
   };
   size_t refined = 0;

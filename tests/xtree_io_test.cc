@@ -4,15 +4,12 @@
 #include <fstream>
 #include <numeric>
 
+#include "test_paths.h"
 #include "vsim/common/rng.h"
 #include "vsim/index/xtree.h"
 
 namespace vsim {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 TEST(XTreeIoTest, RoundTripPreservesQueries) {
   Rng rng(808);
@@ -25,7 +22,7 @@ TEST(XTreeIoTest, RoundTripPreservesQueries) {
     for (double& v : pts[i]) v = rng.Uniform(-3, 3);
     ASSERT_TRUE(tree.Insert(pts[i], i).ok());
   }
-  const std::string path = TempPath("tree.vsxt");
+  const std::string path = TestTempPath("tree.vsxt");
   ASSERT_TRUE(tree.Save(path).ok());
   StatusOr<XTree> loaded = XTree::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -63,7 +60,7 @@ TEST(XTreeIoTest, RoundTripPreservesQueries) {
 
 TEST(XTreeIoTest, EmptyTreeRoundTrips) {
   XTree tree(4);
-  const std::string path = TempPath("empty.vsxt");
+  const std::string path = TestTempPath("empty.vsxt");
   ASSERT_TRUE(tree.Save(path).ok());
   StatusOr<XTree> loaded = XTree::Load(path);
   ASSERT_TRUE(loaded.ok());
@@ -74,7 +71,7 @@ TEST(XTreeIoTest, EmptyTreeRoundTrips) {
 
 TEST(XTreeIoTest, RejectsGarbageAndTruncation) {
   EXPECT_FALSE(XTree::Load("/nonexistent.vsxt").ok());
-  const std::string path = TempPath("garbage.vsxt");
+  const std::string path = TestTempPath("garbage.vsxt");
   std::ofstream(path) << "not an xtree at all";
   EXPECT_FALSE(XTree::Load(path).ok());
   std::remove(path.c_str());
@@ -86,7 +83,7 @@ TEST(XTreeIoTest, RejectsGarbageAndTruncation) {
     ASSERT_TRUE(tree.Insert({rng.NextDouble(), rng.NextDouble(),
                              rng.NextDouble()}, i).ok());
   }
-  const std::string full = TempPath("full.vsxt");
+  const std::string full = TestTempPath("full.vsxt");
   ASSERT_TRUE(tree.Save(full).ok());
   std::ifstream in(full, std::ios::binary);
   std::string content((std::istreambuf_iterator<char>(in)),

@@ -14,8 +14,9 @@
 # the cross-layer trace-propagation pipeline, IoStats counters), and
 # the concurrent storage stack (sharded
 # buffer pool stress/tiering, SharedMutex, PagedFile positioned I/O,
-# disk-backed serving end-to-end). Any data race aborts with a non-zero
-# exit.
+# disk-backed serving end-to-end), and the refinement cascade (queries
+# on one engine from several threads, each solving in its own
+# per-thread scratch). Any data race aborts with a non-zero exit.
 #
 # Usage: tools/check_tsan.sh [build-dir]
 #   default: $VSIM_BUILD_ROOT/build-tsan (shared build-dir convention
@@ -41,6 +42,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target vsim_tests
 # edges and reports the reversal as an inversion.
 TSAN_OPTIONS="halt_on_error=1:detect_deadlocks=1:second_deadlock_stack=1" \
     "$BUILD_DIR/tests/vsim_tests" \
-    --gtest_filter='QueryService*:SnapshotSwap*:ThreadPool*:ResultCache*:ParallelExtraction*:*NetServerTest*:*NetHostileTest*:*RemoteSwapTest*:*TracePipeline*:Obs*:FlightRecorder*:Span*:Profiler*:TraceExport*:IoStatsConcurrency*:CachePool*:DiskServing*:SharedMutex*:PagedFile*:DeadlockDetector*:Kernel*:-DeadlockDetectorTest.TryLockDoesNotEstablishOrder'
+    --gtest_filter='QueryService*:SnapshotSwap*:ThreadPool*:ResultCache*:ParallelExtraction*:*NetServerTest*:*NetHostileTest*:*RemoteSwapTest*:*TracePipeline*:Obs*:FlightRecorder*:Span*:Profiler*:TraceExport*:IoStatsConcurrency*:CachePool*:DiskServing*:SharedMutex*:PagedFile*:DeadlockDetector*:Kernel*:Refine*:-DeadlockDetectorTest.TryLockDoesNotEstablishOrder'
 
 echo "TSan: service stress + snapshot-swap + net server + observability + storage stack + deadlock-detector suites clean"
